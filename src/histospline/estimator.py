@@ -135,16 +135,16 @@ class PdfEstimate:
         The density is quadratic on each segment, so the minimum is
         attained at a segment end or an interior parabola vertex.
         """
-        lowest = np.inf
         h = np.diff(self.spline.knots)
-        for i, (_, c1, c2, c3) in enumerate(self.spline.coefficients):
-            ends = (c1, c1 + h[i] * (2.0 * c2 + 3.0 * c3 * h[i]))
-            lowest = min(lowest, *ends)
-            if c3 > 0.0:  # upward parabola: interior vertex is a minimum
-                s = -c2 / (3.0 * c3)
-                if 0.0 < s < h[i]:
-                    lowest = min(lowest, c1 + s * (2.0 * c2 + 3.0 * c3 * s))
-        return float(lowest)
+        _, c1, c2, c3 = self.spline.coefficients.T
+        ends = np.minimum(c1, c1 + h * (2.0 * c2 + 3.0 * c3 * h))
+        up = c3 > 0.0  # upward parabola: an interior vertex is a minimum
+        c1, c2, c3, h = c1[up], c2[up], c3[up], h[up]
+        s = -c2 / (3.0 * c3)
+        inside = (0.0 < s) & (s < h)
+        c1, c2, c3, s = c1[inside], c2[inside], c3[inside], s[inside]
+        vertices = c1 + s * (2.0 * c2 + 3.0 * c3 * s)
+        return float(vertices.min(initial=ends.min()))
 
 
 def estimate_from_histogram(

@@ -46,7 +46,8 @@ class Samples:
     Weights default to the uniform ``1/N`` scheme.  They must be
     nonnegative with a positive sum; normalization to unit total mass
     happens at histogram construction time, so only relative weights
-    matter.
+    matter.  Values must be finite with a finite spread ``max - min``,
+    which every bin rule and the histogram edges are built from.
     """
 
     values: np.ndarray
@@ -58,6 +59,11 @@ class Samples:
             raise DataError("need a 1-d sample vector with at least 2 observations")
         if not np.all(np.isfinite(values)):
             raise DataError("sample values must all be finite")
+        lo, hi = float(values.min()), float(values.max())
+        if not math.isfinite(hi - lo):
+            raise DataError(
+                f"sample spread max - min overflows the float range (min {lo!r}, max {hi!r})"
+            )
         if self.weights is None:
             weights = np.full(values.size, 1.0 / values.size)
         else:
@@ -311,7 +317,8 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
     Edges span ``[min(values), max(values)]`` exactly with ``bin_count``
     uniform bins.  Each sample contributes its weight to exactly one bin
     (half-open bins, last bin closed so the maximum is counted); heights
-    are the bin masses divided by total mass and bin width.
+    are the bin masses divided by total mass and bin width.  Raises
+    :class:`DataError` when a bin is so narrow that its height overflows.
     """
     if int(bin_count) < 1:
         raise DataError("bin_count must be >= 1")
@@ -322,5 +329,11 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
     edges = np.linspace(lo, hi, int(bin_count) + 1)
     masses, _ = np.histogram(values, bins=edges, weights=weights)
     total = masses.sum()
-    heights = masses / (total * np.diff(edges))
+    with np.errstate(over="ignore"):
+        heights = masses / (total * np.diff(edges))
+    if np.isinf(heights).any():
+        raise DataError(
+            f"bin density overflows: {int(bin_count)} bins over a range of {hi - lo!r} "
+            "give bin widths too narrow for a finite height"
+        )
     return Histogram(edges=edges, heights=heights)

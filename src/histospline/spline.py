@@ -14,8 +14,15 @@ partition of unity extends to the right end of the domain.
 
 Fitted splines are stored per segment in the local power basis
 ``c0 + c1*s + c2*s**2 + c3*s**3`` with ``s = u - knots[i]``; the
-coefficients come from solving the classic second-derivative (moment)
-system, which keeps evaluation and differentiation exact and cheap.
+coefficients come from the classic second-derivative (moment) system,
+which keeps evaluation and differentiation exact and cheap.  The system
+is tridiagonal and is solved by forward elimination and back
+substitution (the Thomas algorithm) in O(m) time and memory for m
+knots.  Clamped and natural end rows are tridiagonal as they stand; the
+three-term not-a-knot end rows are first eliminated into their
+neighbouring rows (de Boor, *A Practical Guide to Splines*, ch. IV).
+Every system solved is strictly diagonally dominant, so no pivoting is
+needed.
 """
 
 from __future__ import annotations
@@ -211,6 +218,27 @@ def fit_interpolating_spline(x, F, boundary: Boundary | str) -> CubicSplineModel
     -------
     CubicSplineModel
         The unique C^2 interpolant satisfying the boundary condition.
+
+    Raises
+    ------
+    DataError
+        If the inputs are not finite, of unequal length, too short for the
+        boundary, or ``x`` is not strictly increasing.
+    NumericError
+        If the moments or coefficients come out non-finite, which happens
+        when the slopes ``diff(F) / diff(x)``, their differences or the
+        curvature changes per unit length overflow the float range.
+
+    Notes
+    -----
+    The moments ``M_i = S''(x_i)`` solve one tridiagonal system in O(m)
+    time and memory.  Natural ends fix ``M_0 = M_{m-1} = 0`` and leave
+    the ``m - 2`` interior rows; clamped ends add two tridiagonal rows.
+    For not-a-knot, ``M_0`` and ``M_{m-1}`` are eliminated into rows 1
+    and ``m - 2``, the system is solved for ``M_1 .. M_{m-2}``, and the
+    two ends are recovered from the not-a-knot conditions.  Eliminating
+    in this direction (not ``M_2`` from row 0) keeps the reduced rows
+    strictly diagonally dominant, so the solve needs no pivoting.
     """
     boundary = Boundary(boundary)
     x = np.asarray(x, dtype=float)
@@ -227,48 +255,111 @@ def fit_interpolating_spline(x, F, boundary: Boundary | str) -> CubicSplineModel
     if np.any(np.diff(x) <= 0.0):
         raise DataError("x must be strictly increasing")
 
-    h = np.diff(x)
-    slopes = np.diff(F) / h
+    # overflow surfaces as non-finite coefficients, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.diff(x)
+        slopes = np.diff(F) / h
+        moments = _solve_moments(h, slopes, boundary)
+        coefficients = np.column_stack([
+            F[:-1],
+            slopes - h * (2.0 * moments[:-1] + moments[1:]) / 6.0,
+            moments[:-1] / 2.0,
+            (moments[1:] - moments[:-1]) / (6.0 * h),
+        ])
+    if not np.all(np.isfinite(coefficients)):
+        raise NumericError(
+            f"spline coefficients are not finite for boundary {boundary.value}: "
+            "the slopes or curvatures of the data exceed the float range"
+        )
+    return CubicSplineModel(knots=x, coefficients=coefficients, boundary=boundary)
 
-    # Unknowns are the second derivatives (moments) M_i at the knots.
-    A = np.zeros((m, m))
-    rhs = np.zeros(m)
-    for i in range(1, m - 1):
-        A[i, i - 1] = h[i - 1]
-        A[i, i] = 2.0 * (h[i - 1] + h[i])
-        A[i, i + 1] = h[i]
-        rhs[i] = 6.0 * (slopes[i] - slopes[i - 1])
+
+def _solve_moments(h: np.ndarray, slopes: np.ndarray, boundary: Boundary) -> np.ndarray:
+    """Second derivatives ``M_0..M_{m-1}`` at the knots of the interpolant.
+
+    Interior row ``i`` of the moment system is
+
+        h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1]
+            = 6 (slopes[i] - slopes[i-1]).
+
+    The clamped end rows are ``2 h[0] M_0 + h[0] M_1 = 6 slopes[0]`` and
+    its mirror image.  The not-a-knot end row ``h[1] M_0 - (h[0] + h[1])
+    M_1 + h[0] M_2 = 0`` enters only through the ratio ``h[0] / h[1]``, so
+    no product of two spacings can underflow.
+    """
+    m = h.size + 1
+    rhs = 6.0 * np.diff(slopes)
+    sub = h[:-1].copy()
+    diag = 2.0 * (h[:-1] + h[1:])
+    sup = h[1:].copy()
 
     if boundary is Boundary.NATURAL:
-        A[0, 0] = 1.0
-        A[m - 1, m - 1] = 1.0
-    elif boundary is Boundary.CLAMPED:
-        A[0, 0] = 2.0 * h[0]
-        A[0, 1] = h[0]
-        rhs[0] = 6.0 * slopes[0]  # S'(x_0) = 0
-        A[m - 1, m - 2] = h[-1]
-        A[m - 1, m - 1] = 2.0 * h[-1]
-        rhs[m - 1] = -6.0 * slopes[-1]  # S'(x_{m-1}) = 0
-    else:
-        # S''' continuous across x_1 and x_{m-2}.
-        A[0, 0] = h[1]
-        A[0, 1] = -(h[0] + h[1])
-        A[0, 2] = h[0]
-        A[m - 1, m - 3] = h[-1]
-        A[m - 1, m - 2] = -(h[-2] + h[-1])
-        A[m - 1, m - 1] = h[-2]
+        moments = np.zeros(m)
+        moments[1:-1] = _solve_tridiagonal(sub[1:], diag, sup[:-1], rhs)
+        return moments
 
-    try:
-        moments = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"singular spline system for boundary {boundary.value}") from exc
+    if boundary is Boundary.CLAMPED:
+        sub = np.concatenate((sub, [h[-1]]))
+        diag = np.concatenate(([2.0 * h[0]], diag, [2.0 * h[-1]]))
+        sup = np.concatenate(([h[0]], sup))
+        rhs = np.concatenate(([6.0 * slopes[0]], rhs, [-6.0 * slopes[-1]]))
+        return _solve_tridiagonal(sub, diag, sup, rhs)
 
-    c0 = F[:-1]
-    c1 = slopes - h * (2.0 * moments[:-1] + moments[1:]) / 6.0
-    c2 = moments[:-1] / 2.0
-    c3 = (moments[1:] - moments[:-1]) / (6.0 * h)
-    return CubicSplineModel(
-        knots=x,
-        coefficients=np.column_stack([c0, c1, c2, c3]),
-        boundary=boundary,
-    )
+    # Not-a-knot: M_0 = M_1 + r0 (M_1 - M_2) with r0 = h[0] / h[1], and the
+    # mirror image at the right end, substituted into rows 1 and m-2.
+    r0, rl = h[0] / h[1], h[-1] / h[-2]
+    diag[0] += h[0] * (1.0 + r0)
+    sup[0] -= h[0] * r0
+    diag[-1] += h[-1] * (1.0 + rl)
+    sub[-1] -= h[-1] * rl
+    moments = np.empty(m)
+    moments[1:-1] = _solve_tridiagonal(sub[1:], diag, sup[:-1], rhs)
+    moments[0] = moments[1] + r0 * (moments[1] - moments[2])
+    moments[-1] = moments[-2] + rl * (moments[-2] - moments[-3])
+    return moments
+
+
+def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
+    """Thomas algorithm for ``sub[i-1] y[i-1] + diag[i] y[i] + sup[i] y[i+1]
+    = rhs[i]``.
+
+    No pivoting: every system built by :func:`_solve_moments` is strictly
+    diagonally dominant, for which elimination in order is stable.  Both
+    sweeps are generators drained by ``np.fromiter``, so no per-element
+    Python object outlives its loop step.
+    """
+    n = diag.size
+    if n == 0:
+        return np.zeros(0)
+    swept = np.fromiter(_forward_sweep(*map(_floats, (sub, diag, sup, rhs))), float, count=2 * n)
+    pivots, reduced = swept[0::2], swept[1::2]
+    back = _back_substitution(*map(_floats, (sup[::-1], pivots[::-1], reduced[::-1])))
+    return np.fromiter(back, float, count=n)[::-1]
+
+
+def _floats(arr: np.ndarray) -> memoryview:
+    """Contiguous float view whose items iterate as Python floats."""
+    return memoryview(np.ascontiguousarray(arr, dtype=float))
+
+
+def _forward_sweep(sub, diag, sup, rhs):
+    """Yield each pivot and reduced right-hand side, interleaved."""
+    d, r = diag[0], rhs[0]
+    yield d
+    yield r
+    for a, b, c, v in zip(sub, diag[1:], sup, rhs[1:]):
+        w = a / d
+        d = b - w * c
+        r = v - w * r
+        yield d
+        yield r
+
+
+def _back_substitution(sup, pivots, reduced):
+    """Yield the solution from the last unknown to the first; the inputs
+    are in that reversed order too."""
+    y = reduced[0] / pivots[0]
+    yield y
+    for c, d, r in zip(sup, pivots[1:], reduced[1:]):
+        y = (r - c * y) / d
+        yield y

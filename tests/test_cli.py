@@ -160,6 +160,16 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert "row 3" in err and "'x'" in err
 
+    @pytest.mark.parametrize("rule", ["fixed:5", "sturges", "fd", "knuth"])
+    def test_overflowing_sample_range_is_a_data_error(self, tmp_path, capsys, rule):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("x\n-1e308\n0\n1e308\n")
+        assert main([
+            "estimate", "--input", str(wide), "--rule", rule, "--out-dir", str(tmp_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "overflows" in err and "Traceback" not in err
+
     def test_missing_file(self, tmp_path):
         assert main([
             "estimate", "--input", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)

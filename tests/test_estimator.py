@@ -180,6 +180,27 @@ class TestPdfEvaluation:
         assert est.min_density() <= grid_min + 1e-15
         assert est.min_density() == pytest.approx(grid_min, abs=1e-6)
 
+    @pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
+    def test_min_density_equals_segment_loop(self, boundary):
+        # reference: the per-segment scan of ends and upward-parabola vertices
+        def loop_min(est):
+            lowest = np.inf
+            h = np.diff(est.spline.knots)
+            for i, (_, c1, c2, c3) in enumerate(est.spline.coefficients):
+                lowest = min(lowest, c1, c1 + h[i] * (2.0 * c2 + 3.0 * c3 * h[i]))
+                if c3 > 0.0:
+                    s = -c2 / (3.0 * c3)
+                    if 0.0 < s < h[i]:
+                        lowest = min(lowest, c1 + s * (2.0 * c2 + 3.0 * c3 * s))
+            return float(lowest)
+
+        rng = np.random.default_rng(77)
+        draws = (rng.normal(size=3000), rng.standard_cauchy(size=3000), rng.uniform(size=300))
+        for values in draws:
+            for rule in (BinRule.sturges(), BinRule.fixed(250), BinRule.fixed(3)):
+                est = estimate_pdf(Samples(values), rule, boundary)
+                assert est.min_density() == loop_min(est)
+
 
 class TestKlDivergence:
     def test_identical_arguments_give_zero(self):

@@ -38,6 +38,13 @@ class TestSamples:
         with pytest.raises(DataError, match="finite"):
             Samples(np.array([1.0, np.inf]))
 
+    @pytest.mark.parametrize("label", ["sqrt", "sturges", "scott", "fd", "knuth", "fixed:5"])
+    def test_overflowing_spread_is_a_data_error(self, label):
+        # max - min = 2e308 overflows; every rule and the edges need it
+        with pytest.raises(DataError, match="spread max - min overflows"):
+            samples = uniform_samples([-1e308, 0.0, 1e308])
+            build_histogram(samples, select_bin_count(samples, BinRule.parse(label)))
+
     def test_weight_validation(self):
         with pytest.raises(DataError, match="same length"):
             Samples(np.array([1.0, 2.0]), weights=np.array([1.0]))
@@ -302,6 +309,11 @@ class TestBuildHistogram:
         with pytest.raises(DataError, match="bin_count"):
             build_histogram(uniform_samples([0.0, 1.0]), 0)
 
+    def test_subnormal_range_bin_density_overflow(self):
+        # one bin 2.2e-313 wide must hold density 1 / 2.2e-313 = inf
+        with pytest.raises(DataError, match="bin density overflows"):
+            build_histogram(uniform_samples([0.0, 2.2250738585e-313]), 1)
+
     def test_non_normalized_histogram_rejected(self):
         with pytest.raises(DataError, match="normalized"):
             Histogram(edges=np.array([0.0, 1.0, 2.0, 3.0]), heights=np.array([0.75, 0.0, 0.0]))
@@ -321,6 +333,10 @@ def test_normalization_invariant(values, bins):
     assume(arr.max() > arr.min())
     edges = np.linspace(arr.min(), arr.max(), bins + 1)
     assume(np.all(np.diff(edges) > 0.0))  # range wide enough for distinct edges
+    # heights up to bins / range must be representable; narrower ranges are
+    # rejected (test_subnormal_range_bin_density_overflow)
+    with np.errstate(over="ignore"):
+        assume(np.isfinite(bins / (arr.max() - arr.min())))
     hist = build_histogram(uniform_samples(arr), bins)
     assert abs(float(np.sum(hist.heights * hist.widths)) - 1.0) <= 1e-12
 

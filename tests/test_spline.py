@@ -1,11 +1,15 @@
 """Tests for the B-spline basis recursion and the interpolating spline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from histospline import (
     Boundary,
     DataError,
+    NumericError,
     OutOfSupportError,
     as_knot_vector,
     bspline_basis,
@@ -279,6 +283,61 @@ class TestFitInterpolatingSpline:
     def test_mismatched_lengths(self):
         with pytest.raises(DataError, match="equal length"):
             fit_interpolating_spline([0.0, 1.0, 2.0], [0.0, 1.0], Boundary.NATURAL)
+
+    @pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
+    @pytest.mark.parametrize(("x", "F"), [
+        # differences of F overflow, so no moment is finite
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1e308, -1e308, 1e308, 0.0]),
+        # moments near 1e300 are finite, but c3 = dM / (6 h) is not
+        ([0.0, 1e-10, 2e-10, 3e-10, 4e-10], [0.0, 1e280, 0.0, 1e280, 0.0]),
+    ])
+    def test_overflow_is_a_numeric_error(self, boundary, x, F):
+        with pytest.raises(NumericError, match="not finite"):
+            fit_interpolating_spline(x, F, boundary)
+
+
+SCIPY_BC = {
+    Boundary.CLAMPED: "clamped",
+    Boundary.NATURAL: "natural",
+    Boundary.NOT_A_KNOT: "not-a-knot",
+}
+
+ORACLE_CASES = [
+    (boundary, m)
+    for m in (2, 3, 4, 5, 80, 3001)
+    for boundary in ALL_BOUNDARIES
+    if not (boundary is Boundary.NOT_A_KNOT and m < 4)
+]
+
+
+@pytest.mark.parametrize(("boundary", "m"), ORACLE_CASES)
+def test_coefficients_match_scipy_cubic_spline(boundary, m):
+    """scipy's banded-solver CubicSpline is an independent oracle for the
+    moment solve on non-uniform knots, down to the smallest sizes."""
+    rng = np.random.default_rng(1000 + m)
+    x = np.cumsum(rng.uniform(0.05, 2.0, size=m))
+    F = np.cumsum(rng.uniform(0.0, 1.0, size=m)) + np.sin(x)
+    got = fit_interpolating_spline(x, F, boundary).coefficients
+    want = CubicSpline(x, F, bc_type=SCIPY_BC[boundary]).c[::-1].T  # power 0..3 per row
+    # each column relative to its own size, floored by the data's scale
+    # in that column's units so an exactly-zero column compares sensibly
+    floor = np.max(np.abs(F)) / (x[-1] - x[0]) ** np.arange(4)
+    scale = np.maximum(np.max(np.abs(want), axis=0), floor)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_fit_memory_is_linear_in_knots():
+    # a dense m x m moment matrix would need 8 * m**2 bytes, 800 MB here
+    m = 10_001
+    x = np.linspace(0.0, 1.0, m)
+    F = x**2
+    tracemalloc.start()
+    try:
+        fit_interpolating_spline(x, F, Boundary.NOT_A_KNOT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 class TestModelEvaluation:
