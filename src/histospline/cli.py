@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import sys
 from dataclasses import asdict, dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -187,20 +189,19 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _float_str(value: float) -> str:
-    return repr(float(value))
-
-
-def _write_corpus_csv(path: Path, corpus) -> None:
+def _write_csv(path: Path, header: str, chunks) -> None:
+    """Write ``header`` and the row-text ``chunks`` (whole lines) as one CSV file."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series_id", "t", "x"])
-        for series_id, ts in enumerate(corpus):
-            for t, x in zip(ts.t, ts.x):
-                writer.writerow([series_id, _float_str(t), _float_str(x)])
+        fh.write(header + "\n")
+        fh.writelines(chunks)
 
 
-def _read_column(path: str, column: str) -> np.ndarray:
+def _read_columns(path: str, *columns: str) -> np.ndarray:
+    """The named numeric columns of a headered CSV file, shape ``(len(columns), rows)``.
+
+    The cells are converted in one streaming pass; only if that fails is the
+    file read again column by column, to name the first bad row.
+    """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -210,25 +211,35 @@ def _read_column(path: str, column: str) -> np.ndarray:
         header = next(reader, None)
         if not header:
             raise DataError(f"{path}: empty input file")
-        if column not in header:
-            raise DataError(f"{path}: no column named {column!r} (columns: {', '.join(header)})")
-        col = header.index(column)
-        out = []
-        for row_number, row in enumerate(reader, start=2):
-            try:
-                out.append(float(row[col]))
-            except (ValueError, IndexError) as exc:
+        for column in columns:
+            if column not in header:
                 raise DataError(
-                    f"{path}: row {row_number}, column {column!r}: bad numeric value"
-                ) from exc
-    if len(out) < 2:
-        raise DataError(f"{path}: need at least 2 data rows, found {len(out)}")
-    return np.asarray(out, dtype=float)
+                    f"{path}: no column named {column!r} (columns: {', '.join(header)})"
+                )
+        indices = [header.index(column) for column in columns]
+        pick = operator.itemgetter(*indices)
+        cells = map(pick, reader) if len(indices) == 1 else chain.from_iterable(map(pick, reader))
+        try:
+            values = np.fromiter(map(float, cells), dtype=float)
+        except (ValueError, IndexError):
+            for column, col in zip(columns, indices):
+                fh.seek(0)
+                for row_number, row in enumerate(islice(csv.reader(fh), 1, None), start=2):
+                    try:
+                        float(row[col])
+                    except (ValueError, IndexError) as exc:
+                        raise DataError(
+                            f"{path}: row {row_number}, column {column!r}: bad numeric value"
+                        ) from exc
+            raise
+    rows = values.size // len(columns)
+    if rows < 2:
+        raise DataError(f"{path}: need at least 2 data rows, found {rows}")
+    return values.reshape(rows, len(columns)).T
 
 
 def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
-    u = _read_column(path, "u")
-    pdf = _read_column(path, "pdf")
+    u, pdf = _read_columns(path, "u", "pdf")
     if np.any(np.diff(u) <= 0.0):
         raise DataError(f"{path}: curve grid must be strictly increasing")
     return u, pdf
@@ -239,7 +250,10 @@ def cmd_generate(config: RunConfig) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "corpus.csv"
-    _write_corpus_csv(path, corpus)
+    _write_csv(path, "series_id,t,x", (
+        "".join([f"{series_id},{t!r},{x!r}\n" for t, x in zip(ts.t.tolist(), ts.x.tolist())])
+        for series_id, ts in enumerate(corpus)
+    ))
     ends = [float(ts.x[-1]) for ts in corpus]
     print(f"wrote {path}")
     print(f"series={len(corpus)} min_x_end={min(ends):.3f} max_x_end={max(ends):.3f}")
@@ -267,7 +281,7 @@ def _estimate_summary(config: RunConfig, estimate, sample_count: int, source: st
 
 def cmd_estimate(config: RunConfig) -> int:
     if config.input:
-        values = _read_column(config.input, config.column)
+        (values,) = _read_columns(config.input, config.column)
         source = f"{config.input}#{config.column}"
     else:
         corpus = generate_corpus(config.count, config.ranges(), seed=config.seed)
@@ -281,20 +295,17 @@ def cmd_estimate(config: RunConfig) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    with open(out_dir / "histogram.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_left", "bin_right", "height"])
-        for left, right, height in zip(hist.edges[:-1], hist.edges[1:], hist.heights):
-            writer.writerow([_float_str(left), _float_str(right), _float_str(height)])
+    edges = hist.edges.tolist()
+    _write_csv(out_dir / "histogram.csv", "bin_left,bin_right,height", [
+        "".join([f"{left!r},{right!r},{height!r}\n"
+                 for left, right, height in zip(edges, edges[1:], hist.heights.tolist())])
+    ])
 
     lo, hi = estimate.support
     u = np.linspace(lo, hi, config.grid)
-    density = estimate(u)
-    with open(out_dir / "curve.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["u", "pdf"])
-        for ui, pi in zip(u, density):
-            writer.writerow([_float_str(ui), _float_str(pi)])
+    _write_csv(out_dir / "curve.csv", "u,pdf", [
+        "".join([f"{ui!r},{pi!r}\n" for ui, pi in zip(u.tolist(), estimate(u).tolist())])
+    ])
 
     summary = _estimate_summary(config, estimate, len(samples), source)
     with open(out_dir / "summary.jsonl", "w", encoding="utf-8") as fh:

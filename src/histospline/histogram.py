@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DataError
 
@@ -29,6 +28,9 @@ __all__ = [
 RULE_TAGS = ("sqrt", "sturges", "scott", "fd", "knuth", "fixed")
 
 DEFAULT_KNUTH_SEARCH_MAX = 200
+
+# Upper bound on any bin count, checked before edges or counts are allocated.
+MAX_BIN_COUNT = 1_000_000
 
 NORMALIZATION_TOL = 1e-12
 
@@ -89,7 +91,8 @@ class BinRule:
 
     ``tag`` is one of ``sqrt``, ``sturges``, ``scott``, ``fd``, ``knuth``,
     ``fixed``.  ``fixed`` requires ``fixed_count``; ``knuth_search_max``
-    bounds the exhaustive posterior scan of the Knuth rule.
+    bounds the exhaustive posterior scan of the Knuth rule.  Both are
+    capped at ``MAX_BIN_COUNT``.
     """
 
     tag: str
@@ -102,12 +105,12 @@ class BinRule:
                 f"unknown bin rule {self.tag!r}; expected one of {', '.join(RULE_TAGS)}"
             )
         if self.tag == "fixed":
-            if self.fixed_count is None or int(self.fixed_count) < 1:
-                raise DataError("fixed bin rule requires a count >= 1")
+            if self.fixed_count is None or not 1 <= int(self.fixed_count) <= MAX_BIN_COUNT:
+                raise DataError(f"fixed bin rule requires a count in 1..{MAX_BIN_COUNT}")
         elif self.fixed_count is not None:
             raise DataError(f"fixed_count is only valid with the 'fixed' rule, not {self.tag!r}")
-        if int(self.knuth_search_max) < 1:
-            raise DataError("knuth_search_max must be >= 1")
+        if not 1 <= int(self.knuth_search_max) <= MAX_BIN_COUNT:
+            raise DataError(f"knuth_search_max must be in 1..{MAX_BIN_COUNT}")
 
     @classmethod
     def sqrt(cls) -> "BinRule":
@@ -224,8 +227,9 @@ def select_bin_count(samples: Samples, rule: BinRule) -> int:
     Raises
     ------
     DataError
-        If the data has zero range (for the data-dependent rules) or zero
-        interquartile range (for ``fd``).
+        If the data has zero range (for the data-dependent rules), zero
+        interquartile range (for ``fd``), or a ``scott`` or ``fd`` count
+        above ``MAX_BIN_COUNT``.
     """
     values = samples.values
     n = values.size
@@ -244,16 +248,22 @@ def select_bin_count(samples: Samples, rule: BinRule) -> int:
         if sigma == 0.0:
             raise DataError("zero standard deviation; Scott's rule is undefined")
         width = 3.49 * sigma * n ** (-1.0 / 3.0)
-        return int(math.ceil((hi - lo) / width))
-    if rule.tag == "fd":
+    elif rule.tag == "fd":
         q75, q25 = np.percentile(values, [75.0, 25.0])
         iqr = float(q75 - q25)
         if iqr == 0.0:
             raise DataError("zero interquartile range; Freedman-Diaconis rule is undefined")
         width = 2.0 * iqr * n ** (-1.0 / 3.0)
-        return int(math.ceil((hi - lo) / width))
-
-    return _knuth_scan(values, int(rule.knuth_search_max))
+    else:
+        return _knuth_scan(values, int(rule.knuth_search_max))
+    # the ratio can overflow, and the width underflow to 0, on extreme spreads
+    bins = (hi - lo) / width if width > 0.0 else math.inf
+    if not bins <= MAX_BIN_COUNT:
+        raise DataError(
+            f"the {rule.tag} rule asks for {bins:.4g} bins, more than the limit of "
+            f"{MAX_BIN_COUNT}; the data range is too wide for its bin width"
+        )
+    return math.ceil(bins)
 
 
 def knuth_log_posterior(counts, total: int) -> float:
@@ -276,16 +286,19 @@ def knuth_log_posterior(counts, total: int) -> float:
         raise DataError("total must be a positive integer")
     if int(counts.sum()) != int(total):
         raise DataError(f"counts sum to {int(counts.sum())}, expected total {int(total)}")
+    return _knuth_log_posterior(counts, total)
+
+
+def _knuth_log_posterior(counts: np.ndarray, total: int) -> float:
+    # unchecked kernel; fsum rounds once, so the order of the counts is irrelevant
     b = counts.size
     n = float(total)
-    # summing in sorted order makes the symmetric sum exactly
-    # permutation-invariant despite floating-point rounding
-    return float(
+    return (
         n * math.log(b)
-        + gammaln(b / 2.0)
-        - b * gammaln(0.5)
-        - gammaln(n + b / 2.0)
-        + np.sum(gammaln(np.sort(counts) + 0.5))
+        + math.lgamma(b / 2.0)
+        - b * math.lgamma(0.5)
+        - math.lgamma(n + b / 2.0)
+        + math.fsum(map(math.lgamma, (counts + 0.5).tolist()))
     )
 
 
@@ -305,7 +318,7 @@ def _knuth_scan(values: np.ndarray, search_max: int) -> int:
     for b in range(1, search_max + 1):
         edges = np.linspace(lo, hi, b + 1)
         counts = _bin_counts_sorted(sorted_values, edges)
-        lp = knuth_log_posterior(counts, n)
+        lp = _knuth_log_posterior(counts, n)
         if lp > best_lp:
             best_b, best_lp = b, lp
     return best_b
@@ -320,8 +333,8 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
     are the bin masses divided by total mass and bin width.  Raises
     :class:`DataError` when a bin is so narrow that its height overflows.
     """
-    if int(bin_count) < 1:
-        raise DataError("bin_count must be >= 1")
+    if not 1 <= int(bin_count) <= MAX_BIN_COUNT:
+        raise DataError(f"bin_count must be in 1..{MAX_BIN_COUNT}, got {int(bin_count)}")
     values, weights = samples.values, samples.weights
     lo, hi = float(values.min()), float(values.max())
     if hi == lo:

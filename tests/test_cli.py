@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import histospline
 from histospline import (
     BinRule,
     Samples,
@@ -16,7 +21,7 @@ from histospline import (
     generate_corpus,
     select_bin_count,
 )
-from histospline.cli import main
+from histospline.cli import _read_columns, main
 
 
 def read_csv(path):
@@ -59,6 +64,22 @@ class TestGenerate:
         code = main(["generate", "--count", "0", "--out-dir", str(out)])
         assert code == 1
         assert not (out / "corpus.csv").exists()
+
+    def test_bulk_read_equals_row_by_row_floats(self, tmp_path):
+        argv = ["generate", "--count", "1000", "--seed", "42", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        path = tmp_path / "corpus.csv"
+        t_loop, x_loop = [], []
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            for row in reader:
+                t_loop.append(float(row[1]))
+                x_loop.append(float(row[2]))
+        t, x = _read_columns(str(path), "t", "x")
+        (x_only,) = _read_columns(str(path), "x")
+        for column, loop in ((t, t_loop), (x, x_loop), (x_only, x_loop)):
+            assert np.array_equal(column.view(np.uint64), np.array(loop).view(np.uint64))
 
 
 class TestEstimate:
@@ -160,6 +181,54 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert "row 3" in err and "'x'" in err
 
+    @pytest.mark.parametrize("text", ["x,y\n1,2\n3\n4,5\n", "x,y\n1,2\n3,\n4,5\n"])
+    def test_short_row_or_empty_cell_reports_row_and_column(self, tmp_path, capsys, text):
+        bad = tmp_path / "short.csv"
+        bad.write_text(text)
+        assert main([
+            "estimate", "--input", str(bad), "--column", "y", "--out-dir", str(tmp_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "row 3, column 'y': bad numeric value" in err and "Traceback" not in err
+
+    def test_quoted_numeric_field_parses(self, tmp_path):
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text('x\n0.5\n"3.5"\n2.5\n')
+        out = tmp_path / "out"
+        assert main([
+            "estimate", "--input", str(quoted), "--rule", "fixed:3", "--out-dir", str(out),
+        ]) == 0
+        summary = read_summary(out / "summary.jsonl")
+        assert summary["support"] == [0.5, 3.5] and summary["sample_count"] == 3
+
+    def test_header_only_file_needs_two_rows(self, tmp_path, capsys):
+        header_only = tmp_path / "header.csv"
+        header_only.write_text("x\n")
+        assert main(["estimate", "--input", str(header_only), "--out-dir", str(tmp_path)]) == 2
+        assert "need at least 2 data rows, found 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--rule", "fixed:1000000000000"],
+        ["--rule", "knuth", "--knuth-max", "2000000"],
+    ])
+    def test_bin_count_above_the_cap_is_a_usage_error(self, small_corpus_file, tmp_path,
+                                                      capsys, flags):
+        assert main([
+            "estimate", "--input", str(small_corpus_file), *flags, "--out-dir", str(tmp_path),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "1..1000000" in err and "Traceback" not in err
+
+    def test_fd_count_above_the_cap_is_a_data_error(self, tmp_path, capsys):
+        values = np.append(np.random.default_rng(2024).normal(size=1000), 1e12)
+        wide = tmp_path / "outlier.csv"
+        wide.write_text("x\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+        assert main([
+            "estimate", "--input", str(wide), "--rule", "fd", "--out-dir", str(tmp_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "limit of 1000000" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("rule", ["fixed:5", "sturges", "fd", "knuth"])
     def test_overflowing_sample_range_is_a_data_error(self, tmp_path, capsys, rule):
         wide = tmp_path / "wide.csv"
@@ -222,6 +291,19 @@ class TestCompare:
         a.write_text("u,pdf\n0.0,1.0\n1.0,1.0\n")
         b.write_text("u,pdf\n5.0,1.0\n6.0,1.0\n")
         assert main(["compare", str(a), str(b)]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("u,pdf\n0.0,1.0\n0.5,1.0\n1.0,oops\n", "row 4, column 'pdf': bad numeric value"),
+        ("u,pdf\n0.0,1.0\n0.5\n1.0,1.0\n", "row 3, column 'pdf': bad numeric value"),
+        ("u,pdf\n0.0,1.0\n", "need at least 2 data rows, found 1"),
+        ("u\n0.0\n1.0\n", "no column named 'pdf'"),
+    ])
+    def test_bad_curve_file_is_a_data_error(self, curve, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad-curve.csv"
+        bad.write_text(text)
+        assert main(["compare", str(curve), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_natural_vs_not_a_knot_kl_is_small(self, small_corpus_file, tmp_path, capsys):
         curves = {}
@@ -314,3 +396,14 @@ class TestConfigHandling:
             "generate", "--count", "3", "--out-dir", str(tmp_path),
             "--v0-range", "30", "20",
         ]) == 1
+
+
+def test_import_loads_no_scipy():
+    # the runtime needs numpy only; scipy is a test and benchmark dependency
+    src = str(Path(histospline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, histospline, histospline.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"

@@ -1,7 +1,10 @@
 """Tests for the histogram -> cumulative profile -> spline -> PDF pipeline."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 from scipy.stats import norm
 
 from histospline import (
@@ -157,6 +160,24 @@ class TestPdfEvaluation:
         rng = np.random.default_rng(41)
         est = estimate_pdf(Samples(rng.normal(size=20_000)), BinRule.sturges(), "not-a-knot")
         assert quadrature_normalization(est, points=10_001) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("points", [2, 3, 4, 5, 10, 10_001, 10_002])
+    def test_simpson_matches_scipy(self, points):
+        rng = np.random.default_rng(42)
+        est = estimate_pdf(Samples(rng.lognormal(size=5000)), BinRule.knuth(), "not-a-knot")
+        u = np.linspace(*est.support, points)
+        expected = float(simpson(est(u), x=u))
+        got = quadrature_normalization(est, points=points)
+        if points % 2:
+            assert got == expected
+        else:  # Cartwright's last-interval correction
+            assert abs(got - expected) <= 4 * math.ulp(expected)
+
+    def test_simpson_needs_two_points(self):
+        est = estimate_pdf(Samples(np.array([0.0, 1.0, 2.0])), BinRule.fixed(3), "natural")
+        for points in (0, 1):
+            with pytest.raises(DataError, match="points"):
+                quadrature_normalization(est, points=points)
 
     def test_density_tracks_neighbor_heights_on_smooth_data(self):
         # pdf at a bin center should usually sit between the adjacent

@@ -2,11 +2,13 @@
 
 import bisect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from histospline import (
     BinRule,
@@ -14,9 +16,12 @@ from histospline import (
     Histogram,
     Samples,
     build_histogram,
+    flatten_positions,
+    generate_corpus,
     knuth_log_posterior,
     select_bin_count,
 )
+from histospline.histogram import MAX_BIN_COUNT
 
 
 def uniform_samples(values):
@@ -81,6 +86,14 @@ class TestBinRule:
             BinRule.knuth(search_max=0)
         with pytest.raises(DataError):
             BinRule("sqrt", fixed_count=3)
+        with pytest.raises(DataError, match="1..1000000"):
+            BinRule.fixed(MAX_BIN_COUNT + 1)
+        with pytest.raises(DataError, match="1..1000000"):
+            BinRule.knuth(search_max=MAX_BIN_COUNT + 1)
+
+    def test_bin_count_cap_itself_is_accepted(self):
+        assert BinRule.fixed(MAX_BIN_COUNT).fixed_count == MAX_BIN_COUNT
+        assert BinRule.knuth(MAX_BIN_COUNT).knuth_search_max == MAX_BIN_COUNT
 
 
 class TestSelectBinCount:
@@ -131,6 +144,32 @@ class TestSelectBinCount:
         s = uniform_samples([5.0] * 20 + [9.0])
         with pytest.raises(DataError, match="interquartile"):
             select_bin_count(s, BinRule.freedman_diaconis())
+
+    def test_fd_outlier_is_rejected_before_any_allocation(self):
+        # uncapped, fd picks 1.7e10 bins here: a 138 GB np.linspace
+        values = np.append(np.random.default_rng(2024).normal(size=100_000), 1e9)
+        s = uniform_samples(values)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="limit of 1000000"):
+                select_bin_count(s, BinRule.freedman_diaconis())
+            with pytest.raises(DataError, match="bin_count"):
+                build_histogram(s, MAX_BIN_COUNT + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_fd_underflowing_width_is_a_data_error(self):
+        # a subnormal IQR makes the width underflow to 0 (a ZeroDivisionError
+        # or OverflowError before the cap)
+        values = [0.0] * 10 + [5e-324] * 10 + [1e10]
+        with pytest.raises(DataError, match="limit"):
+            select_bin_count(uniform_samples(values), BinRule.freedman_diaconis())
+
+    def test_fd_heavy_tail_below_the_cap(self):
+        values = np.random.default_rng(0).standard_cauchy(10_000)
+        assert select_bin_count(uniform_samples(values), BinRule.freedman_diaconis()) == 48_858
 
     def test_deterministic(self):
         values = np.random.default_rng(11).normal(size=2000)
@@ -191,6 +230,18 @@ class TestKnuthLogPosterior:
         with pytest.raises(DataError, match="sum"):
             knuth_log_posterior([5, 5], 11)
 
+    def test_matches_scipy_gammaln(self):
+        rng = np.random.default_rng(12)
+        for size in (1, 7, 200):
+            counts = rng.integers(0, 5000, size=size)
+            total = int(counts.sum())
+            b, n = counts.size, float(total)
+            expected = (
+                n * math.log(b) + gammaln(b / 2.0) - b * gammaln(0.5)
+                - gammaln(n + b / 2.0) + np.sum(gammaln(np.sort(counts) + 0.5))
+            )
+            assert knuth_log_posterior(counts, total) == pytest.approx(expected, rel=1e-12)
+
     def test_matches_independent_summation(self):
         rng = np.random.default_rng(3)
         counts = rng.integers(0, 50, size=23)
@@ -205,6 +256,19 @@ class TestKnuthRule:
     def test_argmax_matches_exhaustive_oracle(self, seed):
         rng = np.random.default_rng(seed)
         values = rng.normal(size=10_000)
+        s = uniform_samples(values)
+        assert select_bin_count(s, BinRule.knuth(200)) == oracle_knuth_argmax(values, 200)
+
+    @pytest.mark.parametrize("kind", ["bimodal", "lognormal", "cauchy", "braking"])
+    def test_argmax_matches_oracle_across_tails(self, kind):
+        rng = np.random.default_rng(9)
+        values = {
+            "bimodal": lambda: np.concatenate([rng.normal(-2.0, 0.7, 5000),
+                                               rng.normal(3.0, 1.1, 5000)]),
+            "lognormal": lambda: rng.lognormal(size=10_000),
+            "cauchy": lambda: rng.standard_cauchy(10_000),
+            "braking": lambda: flatten_positions(generate_corpus(30, seed=42)),
+        }[kind]()
         s = uniform_samples(values)
         assert select_bin_count(s, BinRule.knuth(200)) == oracle_knuth_argmax(values, 200)
 
