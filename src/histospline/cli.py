@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import ScenarioRanges, flatten_positions, generate_corpus
+from .datagen import DEFAULT_RANGES, ScenarioRanges, flatten_positions, generate_corpus
 from .errors import DataError, DisjointSupportsError, NumericError
 from .estimator import (
     count_turning_points,
@@ -28,7 +28,13 @@ from .estimator import (
     grid_kl,
     quadrature_normalization,
 )
-from .histogram import BinRule, Samples, build_histogram, select_bin_count
+from .histogram import (
+    DEFAULT_KNUTH_SEARCH_MAX,
+    BinRule,
+    Samples,
+    build_histogram,
+    select_bin_count,
+)
 from .spline import Boundary
 
 __all__ = ["RunConfig", "main", "cmd_generate", "cmd_estimate", "cmd_compare"]
@@ -51,15 +57,15 @@ class RunConfig:
     # generator settings
     count: int = 1000
     seed: int = 42
-    v0_range: tuple[float, float] = (25.0, 35.0)
-    t_react_range: tuple[float, float] = (0.8, 1.5)
-    decel_range: tuple[float, float] = (3.5, 4.5)
-    dt: float = 0.01
+    v0_range: tuple[float, float] = DEFAULT_RANGES.v0
+    t_react_range: tuple[float, float] = DEFAULT_RANGES.t_react
+    decel_range: tuple[float, float] = DEFAULT_RANGES.decel
+    dt: float = DEFAULT_RANGES.dt
     # estimation settings
     rule: str = "knuth"
     bc: str = "not-a-knot"
     grid: int = 1001
-    knuth_max: int = 200
+    knuth_max: int = DEFAULT_KNUTH_SEARCH_MAX
     # compare inputs
     curve_a: str | None = None
     curve_b: str | None = None

@@ -68,6 +68,7 @@ class Samples:
             )
         if self.weights is None:
             weights = np.full(values.size, 1.0 / values.size)
+            weights.setflags(write=False)
         else:
             weights = np.asarray(self.weights, dtype=float)
             if weights.shape != values.shape:
@@ -78,8 +79,9 @@ class Samples:
                 raise DataError("weights must be nonnegative")
             if float(weights.sum()) <= 0.0:
                 raise DataError("at least one weight must be positive")
+            weights = _frozen_array(weights)
         object.__setattr__(self, "values", _frozen_array(values))
-        object.__setattr__(self, "weights", _frozen_array(weights))
+        object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
         return self.values.size
@@ -286,41 +288,70 @@ def knuth_log_posterior(counts, total: int) -> float:
         raise DataError("total must be a positive integer")
     if int(counts.sum()) != int(total):
         raise DataError(f"counts sum to {int(counts.sum())}, expected total {int(total)}")
-    return _knuth_log_posterior(counts, total)
+    return _knuth_formula(counts.size, total, map(math.lgamma, (counts + 0.5).tolist()))
 
 
-def _knuth_log_posterior(counts: np.ndarray, total: int) -> float:
-    # unchecked kernel; fsum rounds once, so the order of the counts is irrelevant
-    b = counts.size
+def _knuth_formula(b: int, total: int, lgamma_terms) -> float:
+    # the posterior from its per-bin terms lgamma(n_k + 1/2); fsum rounds
+    # once, so the order of the terms is irrelevant
     n = float(total)
     return (
         n * math.log(b)
         + math.lgamma(b / 2.0)
         - b * math.lgamma(0.5)
         - math.lgamma(n + b / 2.0)
-        + math.fsum(map(math.lgamma, (counts + 0.5).tolist()))
+        + math.fsum(lgamma_terms)
     )
 
 
-def _bin_counts_sorted(sorted_values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    # Half-open bins [e_i, e_{i+1}) with the last bin closed; matches
-    # np.histogram exactly for edges spanning the data range.
-    idx = np.searchsorted(sorted_values, edges[:-1], side="left")
-    return np.diff(np.append(idx, sorted_values.size))
+# Bound on the left edges the Knuth scan materializes at once.
+KNUTH_SCAN_CHUNK = 1 << 16
 
 
 def _knuth_scan(values: np.ndarray, search_max: int) -> int:
+    """Argmax of the posterior over ``B = 1..search_max``; ties go to the
+    smallest ``B``.
+
+    The bin counts of many ``B`` are found at once: their left edges are
+    laid end to end in chunks of at most ``KNUTH_SCAN_CHUNK`` edges (or
+    the edges of one larger ``B``), each chunk takes one ``searchsorted``,
+    and ``lgamma`` runs on its distinct counts only.  Edges and counts
+    are those of ``np.linspace(lo, hi, B + 1)`` and ``np.histogram``, bit
+    for bit.
+    """
     sorted_values = np.sort(values)
     lo, hi = sorted_values[0], sorted_values[-1]
     n = sorted_values.size
-    best_b = 1
-    best_lp = -math.inf
-    for b in range(1, search_max + 1):
-        edges = np.linspace(lo, hi, b + 1)
-        counts = _bin_counts_sorted(sorted_values, edges)
-        lp = _knuth_log_posterior(counts, n)
-        if lp > best_lp:
-            best_b, best_lp = b, lp
+    delta = hi - lo
+    best_b, best_lp = 1, -math.inf
+    first = 1
+    while first <= search_max:
+        last = first
+        size = first
+        while last < search_max and size + last + 1 <= KNUTH_SCAN_CHUNK:
+            last += 1
+            size += last
+        bs = np.arange(first, last + 1)
+        starts = np.cumsum(bs) - bs
+        k = (np.arange(size) - np.repeat(starts, bs)).astype(float)
+        b_of_edge = np.repeat(bs, bs)
+        # np.linspace computes k * (delta / B) + lo, or k / B * delta when
+        # the step underflows to 0
+        step = delta / b_of_edge
+        left_edges = np.where(step == 0.0, k / b_of_edge * delta, k * step) + lo
+        positions = np.searchsorted(sorted_values, left_edges, side="left")
+        # half-open bins, the last one closed at n
+        counts = np.diff(positions, append=n)
+        ends = starts + bs - 1
+        counts[ends] = n - positions[ends]
+        distinct, inverse = np.unique(counts, return_inverse=True)
+        lgammas = np.array(list(map(math.lgamma, (distinct + 0.5).tolist())))
+        terms = lgammas[inverse].tolist()
+        for b, start in zip(bs.tolist(), starts.tolist()):
+            lp = _knuth_formula(b, n, terms[start:start + b])
+            if lp > best_lp:
+                best_b, best_lp = b, lp
+        first = last + 1
     return best_b
 
 
@@ -340,7 +371,7 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
     if hi == lo:
         raise DataError("all samples are equal; cannot histogram a zero range")
     edges = np.linspace(lo, hi, int(bin_count) + 1)
-    masses, _ = np.histogram(values, bins=edges, weights=weights)
+    masses = _bin_masses(values, weights, edges)
     total = masses.sum()
     with np.errstate(over="ignore"):
         heights = masses / (total * np.diff(edges))
@@ -350,3 +381,32 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
             "give bin widths too narrow for a finite height"
         )
     return Histogram(edges=edges, heights=heights)
+
+
+# Samples per block of the mass accumulation, as in np.histogram.
+HISTOGRAM_BLOCK = 65536
+
+
+def _bin_masses(values: np.ndarray, weights: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    # np.histogram(values, bins=edges, weights=weights) operation for
+    # operation: per block, the cumulative sorted weights at the edge
+    # positions, summed over blocks and differenced.  Equal weights have
+    # the same cumulative sums in any order, so their blocks are sorted
+    # in place of the argsort-and-gather.
+    equal_weights = bool(np.all(weights == weights[0]))
+    cumulative = np.zeros(edges.size)
+    for i in range(0, values.size, HISTOGRAM_BLOCK):
+        block = values[i:i + HISTOGRAM_BLOCK]
+        block_weights = weights[i:i + HISTOGRAM_BLOCK]
+        if equal_weights:
+            block = np.sort(block)
+        else:
+            order = np.argsort(block)
+            block, block_weights = block[order], block_weights[order]
+        cumulative_weights = np.concatenate(([0.0], block_weights.cumsum()))
+        positions = np.concatenate((
+            block.searchsorted(edges[:-1], side="left"),
+            block.searchsorted(edges[-1:], side="right"),
+        ))
+        cumulative += cumulative_weights[positions]
+    return np.diff(cumulative)

@@ -21,6 +21,7 @@ from histospline import (
     knuth_log_posterior,
     select_bin_count,
 )
+import histospline.histogram as histogram_module
 from histospline.histogram import MAX_BIN_COUNT
 
 
@@ -62,6 +63,16 @@ class TestSamples:
         s = uniform_samples([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             s.values[0] = 99.0
+
+    def test_weights_are_read_only(self):
+        explicit = np.array([1.0, 2.0, 3.0])
+        weighted = Samples(np.array([1.0, 2.0, 3.0]), explicit)
+        for s in (uniform_samples([1.0, 2.0, 3.0]), weighted):
+            with pytest.raises(ValueError):
+                s.weights[0] = 99.0
+        # explicit weights are copied: the caller's array stays writable and apart
+        explicit[0] = 5.0
+        assert weighted.weights[0] == 1.0
 
 
 class TestBinRule:
@@ -293,6 +304,90 @@ class TestKnuthRule:
             )
 
 
+def per_step_knuth_scan(values, search_max):
+    """The scan as one np.linspace and one searchsorted per bin count:
+    the argmax and every log-posterior, in order of B."""
+    sorted_values = np.sort(values)
+    n = sorted_values.size
+    log_posteriors = []
+    for b in range(1, search_max + 1):
+        edges = np.linspace(sorted_values[0], sorted_values[-1], b + 1)
+        counts = np.diff(np.append(np.searchsorted(sorted_values, edges[:-1]), n))
+        log_posteriors.append(knuth_log_posterior(counts, n))
+    best = max(range(search_max), key=lambda i: (log_posteriors[i], -i))
+    return best + 1, log_posteriors
+
+
+def batched_knuth_scan(values, search_max, monkeypatch):
+    """The package's scan, with the log-posterior of each B it evaluates."""
+    log_posteriors = []
+    formula = histogram_module._knuth_formula
+
+    def recording(b, total, terms):
+        log_posteriors.append(formula(b, total, terms))
+        return log_posteriors[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(histogram_module, "_knuth_formula", recording)
+        best = select_bin_count(uniform_samples(values), BinRule.knuth(search_max))
+    return best, log_posteriors
+
+
+def scan_vector(kind):
+    rng = np.random.default_rng(21)
+    return {
+        "normal": lambda: rng.normal(size=5000),
+        "bimodal": lambda: np.concatenate([rng.normal(-2.0, 0.7, 2500),
+                                           rng.normal(3.0, 1.1, 2500)]),
+        "lognormal": lambda: rng.lognormal(size=5000),
+        "cauchy": lambda: rng.standard_cauchy(5000),
+        "braking": lambda: flatten_positions(generate_corpus(30, seed=42)),
+        # 0..60 puts samples exactly on the edges of every B dividing 60
+        "integers": lambda: rng.integers(0, 61, size=3000).astype(float),
+        # delta / B underflows to 0 from B = 4: linspace's k / B * delta branch
+        "subnormal": lambda: np.array([0.0, 1e-323]),
+        # every subnormal step of a 50-step spread: delta / B is 0 only from
+        # B = 101, and below that k * (delta / B) and k / B * delta differ,
+        # so the branch must be chosen per B
+        "subnormal-grid": lambda: np.arange(51) * 5e-324,
+    }[kind]()
+
+
+SCAN_KINDS = ["normal", "bimodal", "lognormal", "cauchy", "braking", "integers", "subnormal",
+              "subnormal-grid"]
+
+
+class TestBatchedKnuthScan:
+    @pytest.mark.parametrize("kind", SCAN_KINDS)
+    def test_same_bits_as_the_per_step_scan(self, kind, monkeypatch):
+        values = scan_vector(kind)
+        expected_b, expected = per_step_knuth_scan(values, 200)
+        b, log_posteriors = batched_knuth_scan(values, 200, monkeypatch)
+        assert b == expected_b
+        assert log_posteriors == expected
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("kind", ["normal", "cauchy", "integers", "subnormal"])
+    def test_chunk_size_does_not_change_the_result(self, kind, chunk, monkeypatch):
+        values = scan_vector(kind)
+        expected_b, expected = per_step_knuth_scan(values, 60)
+        monkeypatch.setattr(histogram_module, "KNUTH_SCAN_CHUNK", chunk)
+        b, log_posteriors = batched_knuth_scan(values, 60, monkeypatch)
+        assert b == expected_b
+        assert log_posteriors == expected
+
+    def test_wide_scan_memory_is_bounded_by_the_chunk(self):
+        # 500,500 edges: about 49 MB traced when scanned in one piece
+        s = uniform_samples(np.random.default_rng(2024).normal(size=10_000))
+        tracemalloc.start()
+        try:
+            select_bin_count(s, BinRule.knuth(1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
 # direct counting oracle: half-open bins, last bin closed
 def oracle_masses(values, weights, edges):
     masses = [0.0] * (len(edges) - 1)
@@ -364,6 +459,22 @@ class TestBuildHistogram:
         a = build_histogram(Samples(values, weights=weights), 11)
         b = build_histogram(Samples(values[order], weights=weights[order]), 11)
         assert a.heights == pytest.approx(b.heights, rel=1e-13)
+
+    @pytest.mark.parametrize("size", [65_535, 65_536, 65_537, 200_001])
+    @pytest.mark.parametrize("weighting", ["default", "equal", "unequal"])
+    def test_masses_equal_numpy_histogram_bits(self, size, weighting):
+        rng = np.random.default_rng(size)
+        # two decimals: many ties, and samples on the edges of B = 60
+        values = np.round(rng.normal(size=size), 2)
+        values[:2] = -3.0, 3.0
+        weights = {"default": None, "equal": np.full(size, 0.3),
+                   "unequal": rng.uniform(0.1, 2.0, size=size)}[weighting]
+        s = Samples(values, weights=weights)
+        for bins in (7, 60, 1000):
+            hist = build_histogram(s, bins)
+            masses, _ = np.histogram(values, bins=hist.edges, weights=s.weights)
+            expected = masses / (masses.sum() * np.diff(hist.edges))
+            assert np.array_equal(hist.heights, expected)
 
     def test_zero_range(self):
         with pytest.raises(DataError, match="range"):
