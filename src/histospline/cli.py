@@ -12,15 +12,22 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import operator
 import sys
+import warnings
 from dataclasses import asdict, dataclass
-from itertools import chain, islice
+from itertools import chain, count, islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .datagen import DEFAULT_RANGES, ScenarioRanges, flatten_positions, generate_corpus
+from .datagen import (
+    DEFAULT_RANGES,
+    ScenarioRanges,
+    check_corpus_size,
+    flatten_positions,
+    generate_corpus,
+)
 from .errors import DataError, DisjointSupportsError, NumericError
 from .estimator import (
     count_turning_points,
@@ -38,6 +45,11 @@ from .histogram import (
 from .spline import Boundary
 
 __all__ = ["RunConfig", "main", "cmd_generate", "cmd_estimate", "cmd_compare"]
+
+
+# Upper bound on --grid, the points of the exported curve and of compare's
+# common grid, checked before either is allocated.
+MAX_GRID_SIZE = 1_000_000
 
 
 class UsageError(Exception):
@@ -71,8 +83,8 @@ class RunConfig:
     curve_b: str | None = None
 
     def __post_init__(self):
-        if self.grid < 2:
-            raise UsageError("grid size must be >= 2")
+        if not 2 <= self.grid <= MAX_GRID_SIZE:
+            raise UsageError(f"grid size must be in 2..{MAX_GRID_SIZE}")
         if self.count < 1:
             raise UsageError("count must be >= 1")
         if self.command == "estimate" and not (bool(self.input) ^ bool(self.simulate)):
@@ -91,15 +103,18 @@ class RunConfig:
             raise UsageError(f"unknown boundary condition {self.bc!r}") from exc
 
     def ranges(self) -> ScenarioRanges:
+        """The generator ranges, checked to bound a corpus of ``count`` series."""
         try:
-            return ScenarioRanges(
+            ranges = ScenarioRanges(
                 v0=tuple(self.v0_range),
                 t_react=tuple(self.t_react_range),
                 decel=tuple(self.decel_range),
                 dt=self.dt,
             )
+            check_corpus_size(self.count, ranges)
         except DataError as exc:
             raise UsageError(str(exc)) from exc
+        return ranges
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,8 +220,11 @@ def _write_csv(path: Path, header: str, chunks) -> None:
 def _read_columns(path: str, *columns: str) -> np.ndarray:
     """The named numeric columns of a headered CSV file, shape ``(len(columns), rows)``.
 
-    The cells are converted in one streaming pass; only if that fails is the
-    file read again column by column, to name the first bad row.
+    numpy's C parser reads the cells.  It accepts a subset of what
+    ``float()`` accepts and skips blank lines, so when it fails, or reads
+    fewer rows than the file has lines, the file is read again by
+    :func:`_parse_rows`, which accepts what ``float()`` accepts and names
+    the first bad row.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -223,25 +241,48 @@ def _read_columns(path: str, *columns: str) -> np.ndarray:
                     f"{path}: no column named {column!r} (columns: {', '.join(header)})"
                 )
         indices = [header.index(column) for column in columns]
-        pick = operator.itemgetter(*indices)
-        cells = map(pick, reader) if len(indices) == 1 else chain.from_iterable(map(pick, reader))
+        lines = count()  # the lines loadtxt takes, blank ones included
         try:
-            values = np.fromiter(map(float, cells), dtype=float)
-        except (ValueError, IndexError):
-            for column, col in zip(columns, indices):
-                fh.seek(0)
-                for row_number, row in enumerate(islice(csv.reader(fh), 1, None), start=2):
-                    try:
-                        float(row[col])
-                    except (ValueError, IndexError) as exc:
-                        raise DataError(
-                            f"{path}: row {row_number}, column {column!r}: bad numeric value"
-                        ) from exc
-            raise
-    rows = values.size // len(columns)
+            with warnings.catch_warnings():
+                # a header-only file is reported below, with the row count
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(map(itemgetter(0), zip(fh, lines)), delimiter=",",
+                                   usecols=indices, quotechar='"', comments=None, ndmin=2)
+        except ValueError:
+            table = None
+        if table is None or table.shape[0] != next(lines):
+            table = _parse_rows(path, fh, columns, indices)
+    rows = table.shape[0]
     if rows < 2:
         raise DataError(f"{path}: need at least 2 data rows, found {rows}")
-    return values.reshape(rows, len(columns)).T
+    return table.T
+
+
+def _parse_rows(path: str, fh, columns: tuple[str, ...], indices: list[int]) -> np.ndarray:
+    """The ``indices`` cells of every data row of ``fh`` through ``float()``,
+    shape ``(rows, len(indices))``.
+
+    The cells are converted in one streaming pass; only if that fails is the
+    file read again column by column, to name the first bad row.
+    """
+    fh.seek(0)
+    rows = islice(csv.reader(fh), 1, None)
+    pick = itemgetter(*indices)
+    cells = map(pick, rows) if len(indices) == 1 else chain.from_iterable(map(pick, rows))
+    try:
+        values = np.fromiter(map(float, cells), dtype=float)
+    except (ValueError, IndexError):
+        for column, col in zip(columns, indices):
+            fh.seek(0)
+            for row_number, row in enumerate(islice(csv.reader(fh), 1, None), start=2):
+                try:
+                    float(row[col])
+                except (ValueError, IndexError) as exc:
+                    raise DataError(
+                        f"{path}: row {row_number}, column {column!r}: bad numeric value"
+                    ) from exc
+        raise
+    return values.reshape(-1, len(indices))
 
 
 def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -256,9 +297,12 @@ def cmd_generate(config: RunConfig) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "corpus.csv"
+    # every series' t is a prefix of the longest one's, so the t cells, like
+    # each series id, are formatted once
+    t_cells = [f",{t!r}," for t in max(corpus, key=len).t.tolist()]
     _write_csv(path, "series_id,t,x", (
-        "".join([f"{series_id},{t!r},{x!r}\n" for t, x in zip(ts.t.tolist(), ts.x.tolist())])
-        for series_id, ts in enumerate(corpus)
+        "".join([f"{series_id}{t}{x!r}\n" for t, x in zip(t_cells, ts.x.tolist())])
+        for series_id, ts in zip(map(str, range(len(corpus))), corpus)
     ))
     ends = [float(ts.x[-1]) for ts in corpus]
     print(f"wrote {path}")

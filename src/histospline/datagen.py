@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .histogram import _frozen_array
 
 __all__ = [
     "BrakingScenario",
@@ -89,6 +90,28 @@ class ScenarioRanges:
             raise DataError("decel range must be positive")
         if not math.isfinite(self.dt) or self.dt <= 0.0:
             raise DataError("dt must be positive")
+        if not math.isfinite(self.t_react[1] + self.v0[1] / self.decel[0]):
+            raise DataError("the longest stop time, t_react max + v0 max / decel min, overflows")
+
+
+# Upper bound on the samples of one corpus (1.6 GB of t and x), checked
+# before any scenario is drawn.
+MAX_CORPUS_SAMPLES = 10**8
+
+# Samples computed per block by _simulate; bounds its temporaries the way
+# HISTOGRAM_BLOCK bounds build_histogram's.
+CORPUS_BLOCK = 1 << 16
+
+
+def check_corpus_size(count: int, ranges: ScenarioRanges) -> None:
+    """Raise :class:`DataError` if ``count`` series drawn from ``ranges``
+    could hold more than :data:`MAX_CORPUS_SAMPLES` samples."""
+    longest = (ranges.t_react[1] + ranges.v0[1] / ranges.decel[0]) / ranges.dt
+    if not longest < MAX_CORPUS_SAMPLES or count * (math.ceil(longest) + 1) > MAX_CORPUS_SAMPLES:
+        raise DataError(
+            f"{count} series of up to {longest + 1:.6g} samples each exceed the corpus "
+            f"limit of {MAX_CORPUS_SAMPLES} samples; raise dt or narrow the ranges"
+        )
 
 
 # Chosen so the slowest scenario still stops beyond 65 m:
@@ -107,25 +130,76 @@ class TimeSeries:
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         x = np.asarray(self.x, dtype=float)
-        if t.ndim != 1 or t.shape != x.shape or t.size < 2:
+        if t.ndim != 1 or t.shape != x.shape:
             raise DataError("t and x must be 1-d arrays of equal length >= 2")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(x))):
-            raise DataError("time series must be finite")
-        if np.any(np.diff(t) < 0.0):
-            raise DataError("sample times must be non-decreasing")
-        if x[0] != 0.0:
-            raise DataError("position trace must start at 0")
-        if np.any(np.diff(x) < 0.0):
-            raise DataError("position trace must be non-decreasing")
-        t = t.copy()
-        t.setflags(write=False)
-        x = x.copy()
-        x.setflags(write=False)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", x)
+        _check_traces(t, x, np.array([t.size]))
+        object.__setattr__(self, "t", _frozen_array(t))
+        object.__setattr__(self, "x", _frozen_array(x))
+
+    @classmethod
+    def _checked(cls, t: np.ndarray, x: np.ndarray) -> "TimeSeries":
+        """A series of read-only arrays that already passed :func:`_check_traces`."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "t", t)
+        object.__setattr__(series, "x", x)
+        return series
 
     def __len__(self) -> int:
         return self.t.size
+
+
+def _check_traces(t: np.ndarray, x: np.ndarray, lengths: np.ndarray) -> None:
+    """The :class:`TimeSeries` contract for series laid end to end in ``x``,
+    ``lengths[i]`` samples each, whose sample times are prefixes of ``t``."""
+    if lengths.min() < 2:
+        raise DataError("t and x must be 1-d arrays of equal length >= 2")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(x))):
+        raise DataError("time series must be finite")
+    if np.any(np.diff(t) < 0.0):
+        raise DataError("sample times must be non-decreasing")
+    starts = np.cumsum(lengths) - lengths
+    if np.any(x[starts] != 0.0):
+        raise DataError("position trace must start at 0")
+    steps = np.diff(x)
+    steps[starts[1:] - 1] = 0.0  # from one series' last sample to the next one's first
+    if np.any(steps < 0.0):
+        raise DataError("position trace must be non-decreasing")
+
+
+def _simulate(v0: np.ndarray, t_react: np.ndarray, decel: np.ndarray,
+              dt: float) -> list[TimeSeries]:
+    """Sample each maneuver (one entry of ``v0``, ``t_react``, ``decel`` per
+    series) at t = 0, dt, 2*dt, ... through its stop time.
+
+    The final sample is the first one at or past the stop, so a series ends
+    at its stopping distance (the vehicle is at rest).  The positions of
+    all series are laid end to end and computed ``CORPUS_BLOCK`` samples at
+    a time, each with the operations, in the order, of a per-series
+    evaluation.  Every series' ``t`` is a prefix of one array.
+    """
+    lengths = np.ceil((t_react + v0 / decel) / dt).astype(np.int64) + 1
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    t = np.arange(lengths.max()) * dt
+    x = np.empty(int(ends[-1]))
+    stop = v0 / decel
+    reaction_distance = v0 * t_react
+    half_decel = 0.5 * decel
+    for lo in range(0, x.size, CORPUS_BLOCK):
+        index = np.arange(lo, min(lo + CORPUS_BLOCK, x.size))
+        series = np.searchsorted(ends, index, side="right")
+        tb = t[index - starts[series]]
+        v0b, t_react_b = v0[series], t_react[series]
+        # Clamping the braking-phase offset at the stop keeps the sampled
+        # positions monotone through the rest phase.
+        s = np.clip(tb - t_react_b, 0.0, stop[series])
+        braking = reaction_distance[series] + v0b * s - half_decel[series] * s**2
+        x[lo:lo + index.size] = np.where(tb <= t_react_b, v0b * tb, braking)
+    _check_traces(t, x, lengths)
+    t.setflags(write=False)
+    x.setflags(write=False)
+    return [TimeSeries._checked(t[:n], x[start:start + n])
+            for start, n in zip(starts.tolist(), lengths.tolist())]
 
 
 def simulate_braking(scenario: BrakingScenario) -> TimeSeries:
@@ -134,14 +208,12 @@ def simulate_braking(scenario: BrakingScenario) -> TimeSeries:
     The final sample is the first one at or past the stop, so the series
     ends at the stopping distance (the vehicle is at rest).
     """
-    steps = math.ceil(scenario.stop_time / scenario.dt)
-    t = np.arange(steps + 1) * scenario.dt
-    # Clamping the braking-phase offset at the stop keeps the sampled
-    # positions monotone through the rest phase.
-    s = np.clip(t - scenario.t_react, 0.0, scenario.v0 / scenario.decel)
-    braking = scenario.v0 * scenario.t_react + scenario.v0 * s - 0.5 * scenario.decel * s**2
-    x = np.where(t <= scenario.t_react, scenario.v0 * t, braking)
-    return TimeSeries(t=t, x=x)
+    ranges = ScenarioRanges(v0=(scenario.v0,) * 2, t_react=(scenario.t_react,) * 2,
+                            decel=(scenario.decel,) * 2, dt=scenario.dt)
+    check_corpus_size(1, ranges)
+    (series,) = _simulate(np.array([scenario.v0]), np.array([scenario.t_react]),
+                          np.array([scenario.decel]), scenario.dt)
+    return series
 
 
 def generate_corpus(
@@ -154,22 +226,22 @@ def generate_corpus(
 
     Each series uses its own PCG64 stream seeded by ``(seed, index)``, so
     the corpus is reproducible and independent of generation order.
+    Raises :class:`DataError` before drawing when the corpus could exceed
+    :data:`MAX_CORPUS_SAMPLES` samples.
     """
-    if int(count) < 1:
+    count = int(count)
+    if count < 1:
         raise DataError("count must be >= 1")
     if ranges is None:
         ranges = DEFAULT_RANGES
-    series = []
-    for index in range(int(count)):
+    check_corpus_size(count, ranges)
+    draws = []
+    for index in range(count):
         rng = np.random.default_rng((seed, index))
-        scenario = BrakingScenario(
-            v0=rng.uniform(*ranges.v0),
-            t_react=rng.uniform(*ranges.t_react),
-            decel=rng.uniform(*ranges.decel),
-            dt=ranges.dt,
-        )
-        series.append(simulate_braking(scenario))
-    return series
+        draws.append((rng.uniform(*ranges.v0), rng.uniform(*ranges.t_react),
+                      rng.uniform(*ranges.decel)))
+    v0, t_react, decel = np.array(draws).T
+    return _simulate(v0, t_react, decel, ranges.dt)
 
 
 def flatten_positions(corpus: list[TimeSeries]) -> np.ndarray:

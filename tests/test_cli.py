@@ -1,10 +1,15 @@
 """Tests for the generate / estimate / compare command line."""
 
+import contextlib
 import csv
+import hashlib
+import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +38,16 @@ def read_csv(path):
 def read_summary(path):
     with open(path, encoding="utf-8") as fh:
         return json.loads(fh.readline())
+
+
+@pytest.fixture(scope="module")
+def seed42_corpus(tmp_path_factory):
+    """``generate --count 1000 --seed 42`` written to ``<base>/gen/corpus.csv``."""
+    base = tmp_path_factory.mktemp("seed42")
+    argv = ["generate", "--count", "1000", "--seed", "42", "--out-dir", str(base / "gen")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return base / "gen" / "corpus.csv"
 
 
 @pytest.fixture
@@ -65,10 +80,8 @@ class TestGenerate:
         assert code == 1
         assert not (out / "corpus.csv").exists()
 
-    def test_bulk_read_equals_row_by_row_floats(self, tmp_path):
-        argv = ["generate", "--count", "1000", "--seed", "42", "--out-dir", str(tmp_path)]
-        assert main(argv) == 0
-        path = tmp_path / "corpus.csv"
+    def test_bulk_read_equals_row_by_row_floats(self, seed42_corpus):
+        path = seed42_corpus
         t_loop, x_loop = [], []
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -80,6 +93,108 @@ class TestGenerate:
         (x_only,) = _read_columns(str(path), "x")
         for column, loop in ((t, t_loop), (x, x_loop), (x_only, x_loop)):
             assert np.array_equal(column.view(np.uint64), np.array(loop).view(np.uint64))
+
+
+# sha256 of the seed-42 pipeline's artifacts, run from the directory that
+# holds gen/corpus.csv (summary.jsonl records the input path as given)
+PINNED_SHA256 = {
+    "gen/corpus.csv": "177c51714a45e7978533e70e72a9a021bc45472013acf0f91a6c175df37fbe34",
+    "knuth-clamped/histogram.csv":
+        "ece184acd3a802d15dabfc46e248708869961a8cbc604bd8ca8159a0d6d3210c",
+    "knuth-clamped/curve.csv": "86de015aca0a88c01a96f442fd9b25d690104d3984aa000c7dc91f04c4deee41",
+    "knuth-clamped/summary.jsonl":
+        "b1657d856d69d558922bbf2f081312af13efc87c22aed067617748bd93e8f2ee",
+    "knuth-natural/histogram.csv":
+        "ece184acd3a802d15dabfc46e248708869961a8cbc604bd8ca8159a0d6d3210c",
+    "knuth-natural/curve.csv": "1f44b9302e7a3dd46ae1de1b1b2625ac067c9a6901015ebd26eb83854b4d8ce5",
+    "knuth-natural/summary.jsonl":
+        "f1eb66e40dd190ae5af5fbc386cda4bee06442d343278d4ddd90a9fe84b61bd0",
+    "knuth-not-a-knot/histogram.csv":
+        "ece184acd3a802d15dabfc46e248708869961a8cbc604bd8ca8159a0d6d3210c",
+    "knuth-not-a-knot/curve.csv":
+        "bc99fe3ee741ec6faccf09084464293205536aa456d6a528d356a3edfc913762",
+    "knuth-not-a-knot/summary.jsonl":
+        "4e263ae80c680e1ada328d9beb568fefd00ba10f32b05f6d7383745a2081cdb6",
+    "sim/histogram.csv": "06535e8830c2cb1b6e905f2ed406503737c5a5b6bee1b7fb24c4ea1676d3359c",
+    "sim/curve.csv": "f19a577c42a4111a8b7f8dc174b75d34b43bab99a45a94102a23a60ca02b4905",
+    "sim/summary.jsonl": "715132dad5a9b9522be8ca51ebff67b9047658903cd3fb7b554971ba97cb890b",
+    "compare stdout": "beb3cf69b3aaa24476fb70bf9ba72cb5883c2e1820e84bc866f0489be97ccf89",
+}
+
+
+def test_seed42_pipeline_artifact_bytes_are_pinned(seed42_corpus, monkeypatch):
+    monkeypatch.chdir(seed42_corpus.parents[1])
+    with contextlib.redirect_stdout(io.StringIO()):
+        for bc in ("clamped", "natural", "not-a-knot"):
+            assert main(["estimate", "--input", "gen/corpus.csv", "--rule", "knuth", "--bc", bc,
+                         "--out-dir", f"knuth-{bc}"]) == 0
+        assert main(["estimate", "--simulate", "--count", "1000", "--seed", "42",
+                     "--rule", "fixed:1500", "--out-dir", "sim"]) == 0
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["compare", "knuth-not-a-knot/curve.csv", "knuth-natural/curve.csv"]) == 0
+    digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+               for name in PINNED_SHA256 if name != "compare stdout"}
+    digests["compare stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    assert digests == PINNED_SHA256
+    turning_points = [read_summary(f"knuth-{bc}/summary.jsonl")["turning_points"]
+                      for bc in ("natural", "not-a-knot")]
+    assert turning_points == [57, 55]
+
+
+def row_by_row(path, columns):
+    """The named columns through csv.reader and float(), one cell at a time."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    return np.array([[float(row[header.index(c)]) for row in rows] for c in columns])
+
+
+class TestReaderParity:
+    """The C parser and its float() fallback read what the row reader read,
+    and reject what it rejected with the same message."""
+
+    @pytest.mark.parametrize("text, columns", [
+        ("x\n1_000\n2\n", ("x",)),
+        ("x\n\u0661.\u0665\n2\n", ("x",)),  # Arabic-Indic digits
+        ("x\r\n1.5\r\n-2e-3\r\n", ("x",)),
+        ("\ufeffid,x\n0,1.5\n1,2.5\n", ("x",)),
+        ("x\n\"1.5\"\n 2 \ninf\n1e400\n", ("x",)),
+        ("x,y\n1,2,3\n4,5,6\n", ("y",)),
+        ("u,pdf\n0.0,1.0\n0.5,2_0\n1.0,3.0\n", ("u", "pdf")),
+        ("u,pdf\r\n0.0,1.0\r\n0.5,2.0\r\n", ("u", "pdf")),
+        ("pdf,u\n1.0,0.0\n2.0,0.5\n", ("u", "pdf")),
+    ])
+    def test_accepts_what_float_accepts(self, tmp_path, text, columns):
+        path = tmp_path / "cells.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = _read_columns(str(path), *columns)
+        expected = row_by_row(path, columns)
+        assert table.shape == expected.shape
+        assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("estimate", "x\n1\n\n2\n", "row 3, column 'x': bad numeric value"),
+        ("estimate", "x\n1\n2\n\n", "row 4, column 'x': bad numeric value"),
+        ("estimate", "x\n0.3 # c\n2\n", "row 2, column 'x': bad numeric value"),
+        ("estimate", "x\n1\n  \n2\n", "row 3, column 'x': bad numeric value"),
+        ("estimate", "x\n", "need at least 2 data rows, found 0"),
+        ("compare", "u,pdf\n0.0,1.0\n\n1.0,1.0\n", "row 3, column 'u': bad numeric value"),
+        ("compare", "u,pdf\n0.0,1.0\n0.5,1 # c\n", "row 3, column 'pdf': bad numeric value"),
+    ])
+    def test_rejects_like_the_row_reader(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        argv = (["estimate", "--input", str(path), "--out-dir", str(tmp_path)]
+                if command == "estimate" else ["compare", str(path), str(path)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {message}\n"
 
 
 class TestEstimate:
@@ -407,3 +522,38 @@ def test_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
                             capture_output=True, text=True, check=True, timeout=60)
     assert result.stdout.strip() == "[]"
+
+
+# every size the CLI allocates is checked before the allocation, so these
+# runs fail fast under a 1.5 GB address-space limit instead of allocating
+ADDRESS_SPACE_LIMIT = 1_500_000_000
+
+
+def run_cli_limited(argv, cwd):
+    src = str(Path(histospline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
+
+    return subprocess.run([sys.executable, "-m", "histospline.cli", *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path), preexec_fn=limit_address_space,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--dt", "1e-9"], "exceed the corpus limit of 100000000 samples"),
+    (["estimate", "--simulate", "--dt", "1e-9"], "exceed the corpus limit"),
+    (["generate", "--v0-range", "1e300", "1e300"], "exceed the corpus limit"),
+    (["generate", "--decel-range", "1e-300", "1e-300"], "exceed the corpus limit"),
+    (["generate", "--v0-range", "1e300", "1e300", "--decel-range", "1e-300", "1e-300"],
+     "longest stop time"),
+    (["generate", "--count", "1000000000"], "1000000000 series of up to"),
+    (["estimate", "--simulate", "--grid", "1000000000000"], "grid size must be in 2..1000000"),
+    (["compare", "a.csv", "b.csv", "--grid", "1000000000000"], "grid size must be in 2..1000000"),
+])
+def test_oversized_inputs_are_usage_errors_before_allocation(tmp_path, argv, message):
+    result = run_cli_limited(argv, tmp_path)
+    assert result.returncode == 1
+    assert message in result.stderr and "Traceback" not in result.stderr
+    assert not any(tmp_path.iterdir())

@@ -1,8 +1,11 @@
 """Tests for the emergency-braking time-series generator."""
 
+import math
+
 import numpy as np
 import pytest
 
+import histospline.datagen as datagen
 from histospline import (
     DEFAULT_RANGES,
     BrakingScenario,
@@ -13,6 +16,7 @@ from histospline import (
     generate_corpus,
     simulate_braking,
 )
+from histospline.datagen import MAX_CORPUS_SAMPLES, check_corpus_size
 
 
 class TestBrakingScenario:
@@ -158,3 +162,118 @@ class TestGenerateCorpus:
         assert DEFAULT_RANGES.t_react == (0.8, 1.5)
         assert DEFAULT_RANGES.decel == (3.5, 4.5)
         assert DEFAULT_RANGES.dt == 0.01
+
+
+def per_series_braking(scenario):
+    """Reference: one maneuver sampled with its own arrays, as generate_corpus
+    computed each series before the corpus became one vectorised pass."""
+    steps = math.ceil(scenario.stop_time / scenario.dt)
+    t = np.arange(steps + 1) * scenario.dt
+    s = np.clip(t - scenario.t_react, 0.0, scenario.v0 / scenario.decel)
+    braking = scenario.v0 * scenario.t_react + scenario.v0 * s - 0.5 * scenario.decel * s**2
+    x = np.where(t <= scenario.t_react, scenario.v0 * t, braking)
+    return t, x
+
+
+def per_series_scenarios(count, ranges, seed):
+    """Reference: one PCG64 stream per series, drawn v0, t_react, decel."""
+    scenarios = []
+    for index in range(count):
+        rng = np.random.default_rng((seed, index))
+        scenarios.append(BrakingScenario(
+            v0=rng.uniform(*ranges.v0),
+            t_react=rng.uniform(*ranges.t_react),
+            decel=rng.uniform(*ranges.decel),
+            dt=ranges.dt,
+        ))
+    return scenarios
+
+
+def assert_same_bits(series, t, x):
+    assert np.array_equal(series.t.view(np.uint64), t.view(np.uint64))
+    assert np.array_equal(series.x.view(np.uint64), x.view(np.uint64))
+
+
+WIDE_RANGES = ScenarioRanges(v0=(0.5, 60.0), t_react=(0.0, 2.5), decel=(0.4, 9.5), dt=0.003)
+# stop times of about 1200 s: one series is 120,001 samples, more than a block
+LONG_RANGES = ScenarioRanges(v0=(59.0, 60.0), t_react=(0.5, 1.0), decel=(0.05, 0.051), dt=0.01)
+
+
+class TestVectorisedCorpus:
+    """generate_corpus computes all series in one blocked pass; each value
+    has the bits of the per-series loop."""
+
+    @pytest.mark.parametrize("count, ranges, seed", [
+        (1000, DEFAULT_RANGES, 1),
+        (1000, DEFAULT_RANGES, 7),
+        (1000, DEFAULT_RANGES, 42),
+        (60, WIDE_RANGES, 3),
+        (3, LONG_RANGES, 11),
+    ], ids=["default-1", "default-7", "default-42", "wide-dt0.003", "longer-than-a-block"])
+    def test_same_bits_as_the_per_series_loop(self, count, ranges, seed):
+        corpus = generate_corpus(count, ranges, seed=seed)
+        scenarios = per_series_scenarios(count, ranges, seed)
+        assert len(corpus) == count
+        assert sum(len(ts) for ts in corpus) > datagen.CORPUS_BLOCK
+        for series, scenario in zip(corpus, scenarios):
+            assert_same_bits(series, *per_series_braking(scenario))
+            assert not series.t.flags.writeable and not series.x.flags.writeable
+        if ranges is LONG_RANGES:
+            assert max(len(ts) for ts in corpus) > datagen.CORPUS_BLOCK
+        # the CLI formats the longest series' t once and reuses its prefixes
+        longest = max(corpus, key=len).t
+        for series in corpus:
+            assert np.array_equal(series.t.view(np.uint64), longest[:len(series)].view(np.uint64))
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_block_size_does_not_change_the_result(self, monkeypatch, block):
+        monkeypatch.setattr(datagen, "CORPUS_BLOCK", block)
+        corpus = generate_corpus(6, WIDE_RANGES, seed=5)
+        for series, scenario in zip(corpus, per_series_scenarios(6, WIDE_RANGES, 5)):
+            assert_same_bits(series, *per_series_braking(scenario))
+
+    def test_simulate_braking_is_the_one_series_case(self):
+        for scenario in per_series_scenarios(50, WIDE_RANGES, 9):
+            assert_same_bits(simulate_braking(scenario), *per_series_braking(scenario))
+
+    def test_one_sample_series_is_a_data_error(self):
+        # the stop time underflows to 0, so the series would hold t = 0 only
+        ranges = ScenarioRanges(v0=(1e-300, 1e-300), t_react=(0.0, 0.0), decel=(1e300, 1e300),
+                                dt=0.01)
+        with pytest.raises(DataError, match="length >= 2"):
+            generate_corpus(3, ranges, seed=0)
+
+    def test_flat_checks_skip_only_the_jumps_between_series(self):
+        t = np.arange(4) * 0.5
+        lengths = np.array([3, 4])
+        datagen._check_traces(t, np.array([0.0, 1.0, 2.0, 0.0, 1.0, 1.0, 3.0]), lengths)
+        with pytest.raises(DataError, match="non-decreasing"):
+            datagen._check_traces(t, np.array([0.0, 1.0, 2.0, 0.0, 1.0, 0.5, 3.0]), lengths)
+        with pytest.raises(DataError, match="start at 0"):
+            datagen._check_traces(t, np.array([0.0, 1.0, 2.0, 0.5, 1.0, 1.0, 3.0]), lengths)
+
+
+class TestCorpusBound:
+    def test_bound_is_checked_before_drawing(self):
+        ranges = ScenarioRanges(v0=(25.0, 35.0), t_react=(0.8, 1.5), decel=(3.5, 4.5), dt=1e-9)
+        with pytest.raises(DataError, match="exceed the corpus limit"):
+            generate_corpus(1, ranges, seed=0)
+        with pytest.raises(DataError, match="exceed the corpus limit"):
+            generate_corpus(10**12, seed=0)
+
+    def test_limit_itself_is_accepted(self):
+        # 1 s stop time at dt = 0.25: 5 samples per series
+        ranges = ScenarioRanges(v0=(1.0, 1.0), t_react=(0.0, 0.0), decel=(1.0, 1.0), dt=0.25)
+        check_corpus_size(MAX_CORPUS_SAMPLES // 5, ranges)
+        with pytest.raises(DataError, match="exceed the corpus limit"):
+            check_corpus_size(MAX_CORPUS_SAMPLES // 5 + 1, ranges)
+
+    def test_overflowing_stop_time_is_rejected(self):
+        with pytest.raises(DataError, match="longest stop time"):
+            ScenarioRanges(v0=(1.0, 1e300), t_react=(0.0, 1.0), decel=(1e-300, 1.0), dt=0.01)
+
+    def test_single_scenario_is_bounded_too(self):
+        with pytest.raises(DataError, match="exceed the corpus limit"):
+            simulate_braking(BrakingScenario(v0=30.0, t_react=1.0, decel=4.0, dt=1e-9))
+        with pytest.raises(DataError, match="longest stop time"):
+            simulate_braking(BrakingScenario(v0=1e300, t_react=1.0, decel=1e-300, dt=0.01))
