@@ -28,8 +28,9 @@ from .datagen import (
     flatten_positions,
     generate_corpus,
 )
-from .errors import DataError, DisjointSupportsError, NumericError
+from .errors import DataError, NumericError
 from .estimator import (
+    _overlap_grid,
     count_turning_points,
     estimate_from_histogram,
     grid_kl,
@@ -179,6 +180,8 @@ def _load_config_file(path: str) -> dict:
             loaded = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
@@ -186,12 +189,29 @@ def _load_config_file(path: str) -> dict:
     return loaded
 
 
+def _check_config_types(file_config: dict) -> None:
+    """Reject a config-file value whose JSON type does not fit its key; the
+    exact ``type`` tests keep JSON ``true``/``false`` out of number keys."""
+    for key, value in file_config.items():
+        default = RunConfig.__dataclass_fields__[key].default
+        if isinstance(default, tuple):  # a range: a pair of numbers
+            ok = type(value) is list and len(value) == 2 and {*map(type, value)} <= {int, float}
+        elif isinstance(default, float):
+            ok = type(value) in (int, float)
+        else:  # a default of None stands for an optional path
+            ok = type(value) in ((str, type(None)) if default is None else (type(default),))
+        if not ok:
+            raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge flags over config-file values over defaults into a RunConfig."""
     file_config = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = set(file_config) - {f.name for f in RunConfig.__dataclass_fields__.values()}
+    # the command is the subcommand itself, not a setting a file can hold
+    unknown = set(file_config) - (set(RunConfig.__dataclass_fields__) - {"command"})
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    _check_config_types(file_config)
 
     merged = dict(file_config)
     for key, value in vars(args).items():
@@ -199,10 +219,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             continue
         merged[key] = value
     merged = {k: tuple(v) if isinstance(v, list) else v for k, v in merged.items()}
-    try:
-        config = RunConfig(command=args.command, **merged)
-    except TypeError as exc:
-        raise UsageError(str(exc)) from exc
+    config = RunConfig(command=args.command, **merged)
     # fail fast on unparseable rule/bc values regardless of the command
     config.bin_rule()
     config.boundary()
@@ -227,31 +244,34 @@ def _read_columns(path: str, *columns: str) -> np.ndarray:
     the first bad row.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header:
+                raise DataError(f"{path}: empty input file")
+            for column in columns:
+                if column not in header:
+                    raise DataError(
+                        f"{path}: no column named {column!r} (columns: {', '.join(header)})"
+                    )
+            indices = [header.index(column) for column in columns]
+            lines = count()  # the lines loadtxt takes, blank ones included
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file is reported below, with the row count
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    table = np.loadtxt(map(itemgetter(0), zip(fh, lines)), delimiter=",",
+                                       usecols=indices, quotechar='"', comments=None, ndmin=2)
+            except ValueError:
+                table = None
+            if table is None or table.shape[0] != next(lines):
+                table = _parse_rows(path, fh, columns, indices)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise DataError(f"{path}: empty input file")
-        for column in columns:
-            if column not in header:
-                raise DataError(
-                    f"{path}: no column named {column!r} (columns: {', '.join(header)})"
-                )
-        indices = [header.index(column) for column in columns]
-        lines = count()  # the lines loadtxt takes, blank ones included
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is reported below, with the row count
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(map(itemgetter(0), zip(fh, lines)), delimiter=",",
-                                   usecols=indices, quotechar='"', comments=None, ndmin=2)
-        except ValueError:
-            table = None
-        if table is None or table.shape[0] != next(lines):
-            table = _parse_rows(path, fh, columns, indices)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise DataError(f"{path}: {exc}") from exc
     rows = table.shape[0]
     if rows < 2:
         raise DataError(f"{path}: need at least 2 data rows, found {rows}")
@@ -369,13 +389,7 @@ def cmd_estimate(config: RunConfig) -> int:
 def cmd_compare(config: RunConfig) -> int:
     u_a, pdf_a = _read_curve(config.curve_a)
     u_b, pdf_b = _read_curve(config.curve_b)
-    lo = max(u_a[0], u_b[0])
-    hi = min(u_a[-1], u_b[-1])
-    if not lo < hi:
-        raise DisjointSupportsError(
-            f"curve supports [{u_a[0]}, {u_a[-1]}] and [{u_b[0]}, {u_b[-1]}] do not overlap"
-        )
-    u = np.linspace(lo, hi, config.grid)
+    u = _overlap_grid(tuple(u_a[[0, -1]].tolist()), tuple(u_b[[0, -1]].tolist()), config.grid)
     p = np.interp(u, u_a, pdf_a)
     q = np.interp(u, u_b, pdf_b)
     print(f"kl_ab={grid_kl(u, p, q)!r}")

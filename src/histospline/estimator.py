@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DisjointSupportsError
-from .histogram import BinRule, Histogram, Samples, build_histogram, select_bin_count
+from .histogram import (
+    BinRule, Histogram, Samples, _frozen_array, build_histogram, select_bin_count,
+)
 from .spline import Boundary, CubicSplineModel, fit_interpolating_spline
 
 __all__ = [
@@ -63,12 +65,8 @@ class CumulativeProfile:
             raise DataError("cumulative profile must be non-decreasing")
         if abs(F[-1] - 1.0) > PROFILE_TOL:
             raise DataError(f"cumulative profile must end at 1, got {F[-1]!r}")
-        x = x.copy()
-        x.setflags(write=False)
-        F = F.copy()
-        F.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "x", _frozen_array(x))
+        object.__setattr__(self, "F", _frozen_array(F))
 
 
 def cumulative_masses(hist: Histogram) -> CumulativeProfile:
@@ -194,14 +192,17 @@ def kl_divergence(p: PdfEstimate, q: PdfEstimate, grid_size: int = 1001) -> floa
     """
     if grid_size < 2:
         raise DataError("grid_size must be >= 2")
-    lo = max(p.support[0], q.support[0])
-    hi = min(p.support[1], q.support[1])
-    if not lo < hi:
-        raise DisjointSupportsError(
-            f"supports {p.support} and {q.support} do not overlap"
-        )
-    u = np.linspace(lo, hi, grid_size)
+    u = _overlap_grid(p.support, q.support, grid_size)
     return grid_kl(u, p(u), q(u))
+
+
+def _overlap_grid(a: tuple[float, float], b: tuple[float, float], grid_size: int) -> np.ndarray:
+    """Uniform ``grid_size``-point grid over the intersection of supports
+    ``a`` and ``b``; :class:`DisjointSupportsError` if it is empty."""
+    lo, hi = max(a[0], b[0]), min(a[1], b[1])
+    if not lo < hi:
+        raise DisjointSupportsError(f"supports {a} and {b} do not overlap")
+    return np.linspace(lo, hi, grid_size)
 
 
 def count_turning_points(est: PdfEstimate, grid_size: int = 512) -> int:

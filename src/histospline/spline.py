@@ -33,6 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError, NumericError, OutOfSupportError
+from .histogram import _frozen_array
 
 __all__ = [
     "Boundary",
@@ -57,14 +58,13 @@ class Boundary(str, Enum):
 
 def as_knot_vector(tau) -> np.ndarray:
     """Validate and return a knot vector as a read-only float array."""
-    arr = np.array(tau, dtype=float)
+    arr = _frozen_array(tau)
     if arr.ndim != 1 or arr.size < 2:
         raise DataError("knot vector must be 1-d with at least 2 knots")
     if not np.all(np.isfinite(arr)):
         raise DataError("knots must be finite")
     if np.any(np.diff(arr) < 0.0):
         raise DataError("knot vector must be non-decreasing")
-    arr.setflags(write=False)
     return arr
 
 
@@ -151,12 +151,8 @@ class CubicSplineModel:
             raise DataError(f"coefficients must have shape ({knots.size - 1}, 4)")
         if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(coeffs))):
             raise DataError("knots and coefficients must be finite")
-        knots = knots.copy()
-        knots.setflags(write=False)
-        coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "knots", _frozen_array(knots))
+        object.__setattr__(self, "coefficients", _frozen_array(coeffs))
         object.__setattr__(self, "boundary", Boundary(self.boundary))
 
     @property
@@ -324,42 +320,19 @@ def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     = rhs[i]``.
 
     No pivoting: every system built by :func:`_solve_moments` is strictly
-    diagonally dominant, for which elimination in order is stable.  Both
-    sweeps are generators drained by ``np.fromiter``, so no per-element
-    Python object outlives its loop step.
+    diagonally dominant, for which elimination in order is stable.  The
+    sweeps run on Python float lists: indexing numpy arrays element by
+    element is slower.
     """
-    n = diag.size
+    sub, diag, sup, rhs = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
+    n = len(diag)
     if n == 0:
         return np.zeros(0)
-    swept = np.fromiter(_forward_sweep(*map(_floats, (sub, diag, sup, rhs))), float, count=2 * n)
-    pivots, reduced = swept[0::2], swept[1::2]
-    back = _back_substitution(*map(_floats, (sup[::-1], pivots[::-1], reduced[::-1])))
-    return np.fromiter(back, float, count=n)[::-1]
-
-
-def _floats(arr: np.ndarray) -> memoryview:
-    """Contiguous float view whose items iterate as Python floats."""
-    return memoryview(np.ascontiguousarray(arr, dtype=float))
-
-
-def _forward_sweep(sub, diag, sup, rhs):
-    """Yield each pivot and reduced right-hand side, interleaved."""
-    d, r = diag[0], rhs[0]
-    yield d
-    yield r
-    for a, b, c, v in zip(sub, diag[1:], sup, rhs[1:]):
-        w = a / d
-        d = b - w * c
-        r = v - w * r
-        yield d
-        yield r
-
-
-def _back_substitution(sup, pivots, reduced):
-    """Yield the solution from the last unknown to the first; the inputs
-    are in that reversed order too."""
-    y = reduced[0] / pivots[0]
-    yield y
-    for c, d, r in zip(sup, pivots[1:], reduced[1:]):
-        y = (r - c * y) / d
-        yield y
+    for i in range(1, n):
+        w = sub[i - 1] / diag[i - 1]
+        diag[i] -= w * sup[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    rhs[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        rhs[i] = (rhs[i] - sup[i] * rhs[i + 1]) / diag[i]
+    return np.array(rhs)

@@ -18,15 +18,19 @@ import pytest
 import histospline
 from histospline import (
     BinRule,
+    DisjointSupportsError,
     Samples,
     build_histogram,
     count_turning_points,
     estimate_from_histogram,
+    estimate_pdf,
     flatten_positions,
     generate_corpus,
+    kl_divergence,
     select_bin_count,
 )
 from histospline.cli import _read_columns, main
+from histospline.histogram import MAX_BIN_COUNT, MAX_KNUTH_SEARCH
 
 
 def read_csv(path):
@@ -184,10 +188,19 @@ class TestReaderParity:
         ("estimate", "x\n", "need at least 2 data rows, found 0"),
         ("compare", "u,pdf\n0.0,1.0\n\n1.0,1.0\n", "row 3, column 'u': bad numeric value"),
         ("compare", "u,pdf\n0.0,1.0\n0.5,1 # c\n", "row 3, column 'pdf': bad numeric value"),
+        # "\udcff" is written as the byte 0xff, which is not UTF-8
+        pytest.param("estimate", "x\n1\n\udcff\n2\n",
+                     "not UTF-8 text (invalid start byte)", id="estimate-not-utf8"),
+        pytest.param("compare", "u,pdf\n0.0,1.0\n\udcff,1.0\n",
+                     "not UTF-8 text (invalid start byte)", id="compare-not-utf8"),
+        pytest.param("estimate", "x\n1\n" + "a" * 131_073 + "\n2\n",
+                     "field larger than field limit (131072)", id="estimate-long-cell"),
+        pytest.param("estimate", "x" * 131_073 + "\n1\n2\n",
+                     "field larger than field limit (131072)", id="estimate-long-header"),
     ])
     def test_rejects_like_the_row_reader(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "bad.csv"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         argv = (["estimate", "--input", str(path), "--out-dir", str(tmp_path)]
                 if command == "estimate" else ["compare", str(path), str(path)])
         with warnings.catch_warnings():
@@ -332,7 +345,8 @@ class TestEstimate:
             "estimate", "--input", str(small_corpus_file), *flags, "--out-dir", str(tmp_path),
         ]) == 1
         err = capsys.readouterr().err
-        assert "1..1000000" in err and "Traceback" not in err
+        cap = MAX_KNUTH_SEARCH if "--knuth-max" in flags else MAX_BIN_COUNT
+        assert f" 1..{cap}\n" in err and "Traceback" not in err
 
     def test_fd_count_above_the_cap_is_a_data_error(self, tmp_path, capsys):
         values = np.append(np.random.default_rng(2024).normal(size=1000), 1e12)
@@ -400,12 +414,20 @@ class TestCompare:
         kl_ba = float(out.split("kl_ba=")[1].splitlines()[0])
         assert abs(kl_ab) <= 1e-9 and abs(kl_ba) <= 1e-9
 
-    def test_disjoint_supports(self, tmp_path):
+    def test_disjoint_supports(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         a.write_text("u,pdf\n0.0,1.0\n1.0,1.0\n")
         b.write_text("u,pdf\n5.0,1.0\n6.0,1.0\n")
         assert main(["compare", str(a), str(b)]) == 2
+        message = "supports (0.0, 1.0) and (5.0, 6.0) do not overlap"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        # the library reports the same supports the same way
+        p = estimate_pdf(Samples(np.linspace(0.0, 1.0, 50)), BinRule.fixed(5), "natural")
+        q = estimate_pdf(Samples(np.linspace(5.0, 6.0, 50)), BinRule.fixed(5), "natural")
+        with pytest.raises(DisjointSupportsError) as excinfo:
+            kl_divergence(p, q)
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("text, message", [
         ("u,pdf\n0.0,1.0\n0.5,1.0\n1.0,oops\n", "row 4, column 'pdf': bad numeric value"),
@@ -495,6 +517,19 @@ class TestConfigHandling:
         config_path.write_text("{not json")
         assert main(["generate", "--config", str(config_path), "--out-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"count": 5}\xff', "run.json is not UTF-8 text (invalid start byte)"),
+        (b'{"v0_range": 5}', "config key 'v0_range' has a value of the wrong type: 5"),
+        (b'{"knuth_max": "abc"}', "config key 'knuth_max' has a value of the wrong type: 'abc'"),
+        (b'{"rule": 5}', "config key 'rule' has a value of the wrong type: 5"),
+    ])
+    def test_config_value_of_the_wrong_type(self, tmp_path, capsys, content, message):
+        config_path = tmp_path / "run.json"
+        config_path.write_bytes(content)
+        assert main(["generate", "--config", str(config_path), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"{message}\n")
+
     def test_generator_ranges_flow_through(self, tmp_path):
         out = tmp_path / "ranged"
         assert main([
@@ -551,6 +586,8 @@ def run_cli_limited(argv, cwd):
     (["generate", "--count", "1000000000"], "1000000000 series of up to"),
     (["estimate", "--simulate", "--grid", "1000000000000"], "grid size must be in 2..1000000"),
     (["compare", "a.csv", "b.csv", "--grid", "1000000000000"], "grid size must be in 2..1000000"),
+    # a scan of 1..10**6 bin counts would run for about a day
+    (["estimate", "--simulate", "--knuth-max", "1000000"], "must be in 1..10000\n"),
 ])
 def test_oversized_inputs_are_usage_errors_before_allocation(tmp_path, argv, message):
     result = run_cli_limited(argv, tmp_path)

@@ -22,7 +22,7 @@ from histospline import (
     select_bin_count,
 )
 import histospline.histogram as histogram_module
-from histospline.histogram import MAX_BIN_COUNT
+from histospline.histogram import MAX_BIN_COUNT, MAX_KNUTH_SEARCH
 
 
 def uniform_samples(values):
@@ -99,12 +99,19 @@ class TestBinRule:
             BinRule("sqrt", fixed_count=3)
         with pytest.raises(DataError, match="1..1000000"):
             BinRule.fixed(MAX_BIN_COUNT + 1)
-        with pytest.raises(DataError, match="1..1000000"):
+        with pytest.raises(DataError, match="1..10000$"):
             BinRule.knuth(search_max=MAX_BIN_COUNT + 1)
 
     def test_bin_count_cap_itself_is_accepted(self):
         assert BinRule.fixed(MAX_BIN_COUNT).fixed_count == MAX_BIN_COUNT
-        assert BinRule.knuth(MAX_BIN_COUNT).knuth_search_max == MAX_BIN_COUNT
+        assert BinRule.knuth(MAX_KNUTH_SEARCH).knuth_search_max == MAX_KNUTH_SEARCH
+
+    def test_knuth_search_above_its_cap_is_rejected(self):
+        # the cap bounds the scan's time, so it is below the bin-count cap
+        message = f"knuth_search_max must be in 1..{MAX_KNUTH_SEARCH}$"
+        for search_max in (MAX_KNUTH_SEARCH + 1, MAX_BIN_COUNT):
+            with pytest.raises(DataError, match=message):
+                BinRule.knuth(search_max)
 
 
 class TestSelectBinCount:

@@ -15,6 +15,7 @@ from histospline import (
     bspline_basis,
     bspline_basis_derivative,
     fit_interpolating_spline,
+    spline,
 )
 
 ALL_BOUNDARIES = (Boundary.CLAMPED, Boundary.NATURAL, Boundary.NOT_A_KNOT)
@@ -324,6 +325,56 @@ def test_coefficients_match_scipy_cubic_spline(boundary, m):
     floor = np.max(np.abs(F)) / (x[-1] - x[0]) ** np.arange(4)
     scale = np.maximum(np.max(np.abs(want), axis=0), floor)
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def generator_sweep_solve(sub, diag, sup, rhs):
+    """The earlier Thomas solve, generators drained by ``np.fromiter``: the
+    reference for the plain loop, which must do the same operations in the
+    same order."""
+    def floats(arr):
+        return memoryview(np.ascontiguousarray(arr, dtype=float))
+
+    def forward_sweep(sub, diag, sup, rhs):
+        d, r = diag[0], rhs[0]
+        yield d
+        yield r
+        for a, b, c, v in zip(sub, diag[1:], sup, rhs[1:]):
+            w = a / d
+            d = b - w * c
+            r = v - w * r
+            yield d
+            yield r
+
+    def back_substitution(sup, pivots, reduced):
+        y = reduced[0] / pivots[0]
+        yield y
+        for c, d, r in zip(sup, pivots[1:], reduced[1:]):
+            y = (r - c * y) / d
+            yield y
+
+    n = diag.size
+    if n == 0:
+        return np.zeros(0)
+    swept = np.fromiter(forward_sweep(*map(floats, (sub, diag, sup, rhs))), float, count=2 * n)
+    pivots, reduced = swept[0::2], swept[1::2]
+    back = back_substitution(*map(floats, (sup[::-1], pivots[::-1], reduced[::-1])))
+    return np.fromiter(back, float, count=n)[::-1]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+@pytest.mark.parametrize(("boundary", "m"), ORACLE_CASES)
+def test_thomas_loop_matches_generator_sweep(monkeypatch, boundary, m, scale):
+    rng = np.random.default_rng(2000 + m)
+    x = np.cumsum(rng.uniform(0.05, 2.0, size=m))
+    F = scale * (np.cumsum(rng.uniform(0.0, 1.0, size=m)) + np.sin(x))
+    h = np.diff(x)
+    slopes = np.diff(F) / h
+    moments = spline._solve_moments(h, slopes, boundary)
+    model = fit_interpolating_spline(x, F, boundary)
+    monkeypatch.setattr(spline, "_solve_tridiagonal", generator_sweep_solve)
+    reference = fit_interpolating_spline(x, F, boundary)
+    assert moments.tobytes() == spline._solve_moments(h, slopes, boundary).tobytes()
+    assert model.coefficients.tobytes() == reference.coefficients.tobytes()
 
 
 def test_fit_memory_is_linear_in_knots():
