@@ -14,8 +14,9 @@ import csv
 import json
 import sys
 import warnings
+from array import array
 from dataclasses import asdict, dataclass
-from itertools import chain, count, islice
+from itertools import count, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .datagen import (
 )
 from .errors import DataError, NumericError
 from .estimator import (
+    MAX_GRID_SIZE,
     _overlap_grid,
     count_turning_points,
     estimate_from_histogram,
@@ -46,11 +48,6 @@ from .histogram import (
 from .spline import Boundary
 
 __all__ = ["RunConfig", "main", "cmd_generate", "cmd_estimate", "cmd_compare"]
-
-
-# Upper bound on --grid, the points of the exported curve and of compare's
-# common grid, checked before either is allocated.
-MAX_GRID_SIZE = 1_000_000
 
 
 class UsageError(Exception):
@@ -90,32 +87,21 @@ class RunConfig:
             raise UsageError("count must be >= 1")
         if self.command == "estimate" and not (bool(self.input) ^ bool(self.simulate)):
             raise UsageError("estimate needs exactly one input source: --input or --simulate")
+        # every command checks every setting, so a bad value fails fast
+        try:
+            self.bin_rule()
+            if self.bc not in {b.value for b in Boundary}:
+                raise DataError(f"unknown boundary condition {self.bc!r}")
+            check_corpus_size(self.count, self.ranges())
+        except DataError as exc:
+            raise UsageError(str(exc)) from exc
 
     def bin_rule(self) -> BinRule:
-        try:
-            return BinRule.parse(self.rule, knuth_search_max=self.knuth_max)
-        except DataError as exc:
-            raise UsageError(str(exc)) from exc
-
-    def boundary(self) -> Boundary:
-        try:
-            return Boundary(self.bc)
-        except ValueError as exc:
-            raise UsageError(f"unknown boundary condition {self.bc!r}") from exc
+        return BinRule.parse(self.rule, knuth_search_max=self.knuth_max)
 
     def ranges(self) -> ScenarioRanges:
-        """The generator ranges, checked to bound a corpus of ``count`` series."""
-        try:
-            ranges = ScenarioRanges(
-                v0=tuple(self.v0_range),
-                t_react=tuple(self.t_react_range),
-                decel=tuple(self.decel_range),
-                dt=self.dt,
-            )
-            check_corpus_size(self.count, ranges)
-        except DataError as exc:
-            raise UsageError(str(exc)) from exc
-        return ranges
+        return ScenarioRanges(v0=tuple(self.v0_range), t_react=tuple(self.t_react_range),
+                              decel=tuple(self.decel_range), dt=self.dt)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -219,12 +205,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             continue
         merged[key] = value
     merged = {k: tuple(v) if isinstance(v, list) else v for k, v in merged.items()}
-    config = RunConfig(command=args.command, **merged)
-    # fail fast on unparseable rule/bc values regardless of the command
-    config.bin_rule()
-    config.boundary()
-    config.ranges()
-    return config
+    return RunConfig(command=args.command, **merged)
 
 
 def _write_csv(path: Path, header: str, chunks) -> None:
@@ -280,33 +261,28 @@ def _read_columns(path: str, *columns: str) -> np.ndarray:
 
 def _parse_rows(path: str, fh, columns: tuple[str, ...], indices: list[int]) -> np.ndarray:
     """The ``indices`` cells of every data row of ``fh`` through ``float()``,
-    shape ``(rows, len(indices))``.
-
-    The cells are converted in one streaming pass; only if that fails is the
-    file read again column by column, to name the first bad row.
-    """
+    shape ``(rows, len(indices))``, in one pass that names the first bad
+    cell, row by row."""
     fh.seek(0)
-    rows = islice(csv.reader(fh), 1, None)
-    pick = itemgetter(*indices)
-    cells = map(pick, rows) if len(indices) == 1 else chain.from_iterable(map(pick, rows))
-    try:
-        values = np.fromiter(map(float, cells), dtype=float)
-    except (ValueError, IndexError):
+    values = array("d")
+    for row_number, row in enumerate(islice(csv.reader(fh), 1, None), start=2):
         for column, col in zip(columns, indices):
-            fh.seek(0)
-            for row_number, row in enumerate(islice(csv.reader(fh), 1, None), start=2):
-                try:
-                    float(row[col])
-                except (ValueError, IndexError) as exc:
-                    raise DataError(
-                        f"{path}: row {row_number}, column {column!r}: bad numeric value"
-                    ) from exc
-        raise
-    return values.reshape(-1, len(indices))
+            try:
+                values.append(float(row[col]))
+            except (ValueError, IndexError) as exc:
+                raise DataError(
+                    f"{path}: row {row_number}, column {column!r}: bad numeric value"
+                ) from exc
+    return np.frombuffer(values).reshape(-1, len(indices))
 
 
 def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
-    u, pdf = _read_columns(path, "u", "pdf")
+    table = _read_columns(path, "u", "pdf")
+    bad = np.argwhere(~np.isfinite(table.T))  # (row, column) pairs in file order
+    if bad.size:
+        row, col = bad[0].tolist()
+        raise DataError(f"{path}: row {row + 2}, column {('u', 'pdf')[col]!r}: non-finite value")
+    u, pdf = table
     if np.any(np.diff(u) <= 0.0):
         raise DataError(f"{path}: curve grid must be strictly increasing")
     return u, pdf
@@ -342,7 +318,7 @@ def _estimate_summary(config: RunConfig, estimate, sample_count: int, source: st
         "support": [lo, hi],
         "min_density": min_density,
         "has_negative_density": min_density < 0.0,
-        "turning_points": count_turning_points(estimate, max(config.grid, 3)),
+        "turning_points": count_turning_points(estimate),
         "normalization_analytic": estimate.normalization(),
         "normalization_simpson": quadrature_normalization(estimate),
         "grid_size": config.grid,
@@ -360,7 +336,7 @@ def cmd_estimate(config: RunConfig) -> int:
     samples = Samples(values)
     rule = config.bin_rule()
     hist = build_histogram(samples, select_bin_count(samples, rule))
-    estimate = estimate_from_histogram(hist, rule, config.boundary())
+    estimate = estimate_from_histogram(hist, rule, config.bc)
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

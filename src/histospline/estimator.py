@@ -36,6 +36,10 @@ __all__ = [
 
 DENSITY_FLOOR = 1e-12
 
+# Upper bound on the points of a KL or quadrature grid (and on the CLI's
+# --grid), checked before the grid is allocated.
+MAX_GRID_SIZE = 1_000_000
+
 PROFILE_TOL = 1e-12
 
 
@@ -190,8 +194,6 @@ def kl_divergence(p: PdfEstimate, q: PdfEstimate, grid_size: int = 1001) -> floa
     Numerical: uniform ``grid_size``-point grid, trapezoidal rule,
     densities floored at ``DENSITY_FLOOR``.  Asymmetric in its arguments.
     """
-    if grid_size < 2:
-        raise DataError("grid_size must be >= 2")
     u = _overlap_grid(p.support, q.support, grid_size)
     return grid_kl(u, p(u), q(u))
 
@@ -199,6 +201,8 @@ def kl_divergence(p: PdfEstimate, q: PdfEstimate, grid_size: int = 1001) -> floa
 def _overlap_grid(a: tuple[float, float], b: tuple[float, float], grid_size: int) -> np.ndarray:
     """Uniform ``grid_size``-point grid over the intersection of supports
     ``a`` and ``b``; :class:`DisjointSupportsError` if it is empty."""
+    if not 2 <= grid_size <= MAX_GRID_SIZE:
+        raise DataError(f"grid_size must be in 2..{MAX_GRID_SIZE}")
     lo, hi = max(a[0], b[0]), min(a[1], b[1])
     if not lo < hi:
         raise DisjointSupportsError(f"supports {a} and {b} do not overlap")
@@ -226,8 +230,8 @@ def quadrature_normalization(est: PdfEstimate, points: int = 10001) -> float:
     Computed as ``scipy.integrate.simpson(est(u), x=u)`` does, operation
     for operation (with Cartwright's last-interval term for even ``points``).
     """
-    if points < 2:
-        raise DataError("points must be >= 2")
+    if not 2 <= points <= MAX_GRID_SIZE:
+        raise DataError(f"points must be in 2..{MAX_GRID_SIZE}")
     lo, hi = est.support
     u = np.linspace(lo, hi, points)
     y, h = est(u), np.diff(u)

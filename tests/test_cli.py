@@ -180,6 +180,19 @@ class TestReaderParity:
         assert table.shape == expected.shape
         assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
 
+    def test_long_fallback_read_equals_row_by_row(self, tmp_path):
+        rng = np.random.default_rng(8)
+        rows = [f"{i},{t!r},{x!r}\n" for i, (t, x) in
+                enumerate(zip(rng.random(70_000).tolist(), rng.normal(size=70_000).tolist()))]
+        rows[40_000] = "40000,2.5,1_000\n"  # only float() reads it
+        path = tmp_path / "long.csv"
+        path.write_text("series_id,t,x\n" + "".join(rows))
+        table = _read_columns(str(path), "t", "x")
+        expected = row_by_row(path, ("t", "x"))
+        assert table.shape == expected.shape == (2, 70_000)
+        assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
+        assert table[1, 40_000] == 1000.0
+
     @pytest.mark.parametrize("command, text, message", [
         ("estimate", "x\n1\n\n2\n", "row 3, column 'x': bad numeric value"),
         ("estimate", "x\n1\n2\n\n", "row 4, column 'x': bad numeric value"),
@@ -193,6 +206,9 @@ class TestReaderParity:
                      "not UTF-8 text (invalid start byte)", id="estimate-not-utf8"),
         pytest.param("compare", "u,pdf\n0.0,1.0\n\udcff,1.0\n",
                      "not UTF-8 text (invalid start byte)", id="compare-not-utf8"),
+        # decoded inside loadtxt, whose ValueError sends the file to the fallback
+        pytest.param("estimate", "x\n" + "1\n" * 100_000 + "\udcff\n2\n",
+                     "not UTF-8 text (invalid start byte)", id="estimate-not-utf8-late"),
         pytest.param("estimate", "x\n1\n" + "a" * 131_073 + "\n2\n",
                      "field larger than field limit (131072)", id="estimate-long-cell"),
         pytest.param("estimate", "x" * 131_073 + "\n1\n2\n",
@@ -434,6 +450,11 @@ class TestCompare:
         ("u,pdf\n0.0,1.0\n0.5\n1.0,1.0\n", "row 3, column 'pdf': bad numeric value"),
         ("u,pdf\n0.0,1.0\n", "need at least 2 data rows, found 1"),
         ("u\n0.0\n1.0\n", "no column named 'pdf'"),
+        ("u,pdf\n0,1\ninf,1\n", "row 3, column 'u': non-finite value"),
+        ("u,pdf\n0,1\n1,nan\n", "row 3, column 'pdf': non-finite value"),
+        ("u,pdf\n0,1\nnan,1\n2,1\n", "row 3, column 'u': non-finite value"),
+        # the fallback names the first bad cell in file order
+        ("u,pdf\n0.0,1.0\n0.5,oops\nbad,1.0\n", "row 3, column 'pdf': bad numeric value"),
     ])
     def test_bad_curve_file_is_a_data_error(self, curve, tmp_path, capsys, text, message):
         bad = tmp_path / "bad-curve.csv"

@@ -1,6 +1,7 @@
 """Tests for the histogram -> cumulative profile -> spline -> PDF pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from histospline import (
     quadrature_normalization,
     select_bin_count,
 )
+from histospline.estimator import MAX_GRID_SIZE
 
 ALL_BOUNDARIES = (Boundary.CLAMPED, Boundary.NATURAL, Boundary.NOT_A_KNOT)
 
@@ -267,6 +269,33 @@ class TestKlDivergence:
         est = estimate_pdf(Samples(rng.normal(size=500)), BinRule.sqrt(), "natural")
         with pytest.raises(DataError, match="grid_size"):
             kl_divergence(est, est, grid_size=1)
+
+    def test_oversized_grids_are_rejected_before_allocation(self):
+        # uncapped, either grid is a 7.28 TiB np.linspace
+        est = estimate_pdf(Samples(np.random.default_rng(51).normal(size=500)),
+                           BinRule.sqrt(), "natural")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="grid_size must be in 2..1000000"):
+                kl_divergence(est, est, grid_size=10**12)
+            with pytest.raises(DataError, match="points must be in 2..1000000"):
+                quadrature_normalization(est, points=10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_grid_size_is_checked_before_the_supports(self):
+        a = estimate_pdf(Samples(np.linspace(0.0, 1.0, 50)), BinRule.fixed(5), "natural")
+        b = estimate_pdf(Samples(np.linspace(5.0, 6.0, 50)), BinRule.fixed(5), "natural")
+        with pytest.raises(DataError, match="grid_size"):
+            kl_divergence(a, b, grid_size=MAX_GRID_SIZE + 1)
+
+    def test_grid_cap_itself_is_accepted(self):
+        est = estimate_pdf(Samples(np.random.default_rng(51).normal(size=500)),
+                           BinRule.sqrt(), "natural")
+        assert kl_divergence(est, est, grid_size=MAX_GRID_SIZE) == 0.0
+        assert quadrature_normalization(est, points=MAX_GRID_SIZE) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestTurningPoints:
