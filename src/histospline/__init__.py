@@ -8,84 +8,16 @@ corpus generator (:mod:`histospline.datagen`) provides validation data,
 and :mod:`histospline.cli` wraps the workflows for the command line.
 """
 
-from .datagen import (
-    DEFAULT_RANGES,
-    BrakingScenario,
-    ScenarioRanges,
-    TimeSeries,
-    flatten_positions,
-    generate_corpus,
-    simulate_braking,
-)
-from .errors import (
-    DataError,
-    DisjointSupportsError,
-    HistosplineError,
-    NumericError,
-    OutOfSupportError,
-)
-from .estimator import (
-    CumulativeProfile,
-    PdfEstimate,
-    count_turning_points,
-    cumulative_masses,
-    estimate_from_histogram,
-    estimate_pdf,
-    grid_kl,
-    kl_divergence,
-    quadrature_normalization,
-)
-from .histogram import (
-    BinRule,
-    Histogram,
-    Samples,
-    build_histogram,
-    knuth_log_posterior,
-    select_bin_count,
-)
-from .spline import (
-    Boundary,
-    CubicSplineModel,
-    as_knot_vector,
-    bspline_basis,
-    bspline_basis_derivative,
-    fit_interpolating_spline,
-)
+# The package exports exactly the ``__all__`` of each module below.
+from . import datagen, errors, estimator, histogram, spline
+from .datagen import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .estimator import *  # noqa: F401,F403
+from .histogram import *  # noqa: F401,F403
+from .spline import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinRule",
-    "Boundary",
-    "BrakingScenario",
-    "CubicSplineModel",
-    "CumulativeProfile",
-    "DEFAULT_RANGES",
-    "DataError",
-    "DisjointSupportsError",
-    "Histogram",
-    "HistosplineError",
-    "NumericError",
-    "OutOfSupportError",
-    "PdfEstimate",
-    "Samples",
-    "ScenarioRanges",
-    "TimeSeries",
-    "as_knot_vector",
-    "bspline_basis",
-    "bspline_basis_derivative",
-    "build_histogram",
-    "count_turning_points",
-    "cumulative_masses",
-    "estimate_from_histogram",
-    "estimate_pdf",
-    "fit_interpolating_spline",
-    "flatten_positions",
-    "generate_corpus",
-    "grid_kl",
-    "kl_divergence",
-    "knuth_log_posterior",
-    "quadrature_normalization",
-    "select_bin_count",
-    "simulate_braking",
-]
+__all__ = sorted(
+    datagen.__all__ + errors.__all__ + estimator.__all__ + histogram.__all__ + spline.__all__
+)

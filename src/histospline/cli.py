@@ -85,6 +85,8 @@ class RunConfig:
             raise UsageError(f"grid size must be in 2..{MAX_GRID_SIZE}")
         if self.count < 1:
             raise UsageError("count must be >= 1")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
         if self.command == "estimate" and not (bool(self.input) ^ bool(self.simulate)):
             raise UsageError("estimate needs exactly one input source: --input or --simulate")
         # every command checks every setting, so a bad value fails fast
@@ -243,6 +245,8 @@ def _read_columns(path: str, *columns: str) -> np.ndarray:
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                     table = np.loadtxt(map(itemgetter(0), zip(fh, lines)), delimiter=",",
                                        usecols=indices, quotechar='"', comments=None, ndmin=2)
+            except UnicodeDecodeError:
+                raise  # reported below; the fallback would fail on the same byte
             except ValueError:
                 table = None
             if table is None or table.shape[0] != next(lines):

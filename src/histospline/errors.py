@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "HistosplineError",
+    "DataError",
+    "NumericError",
+    "OutOfSupportError",
+    "DisjointSupportsError",
+]
+
 
 class HistosplineError(Exception):
     """Base class for every error raised by this package."""

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import DataError, DisjointSupportsError
 from .histogram import (
-    BinRule, Histogram, Samples, _frozen_array, build_histogram, select_bin_count,
+    NORMALIZATION_TOL, BinRule, Histogram, Samples, _frozen_array, build_histogram,
+    select_bin_count,
 )
 from .spline import Boundary, CubicSplineModel, fit_interpolating_spline
 
@@ -39,8 +40,6 @@ DENSITY_FLOOR = 1e-12
 # Upper bound on the points of a KL or quadrature grid (and on the CLI's
 # --grid), checked before the grid is allocated.
 MAX_GRID_SIZE = 1_000_000
-
-PROFILE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ class CumulativeProfile:
             raise DataError("cumulative profile must start at exactly 0")
         if np.any(np.diff(F) < 0.0):
             raise DataError("cumulative profile must be non-decreasing")
-        if abs(F[-1] - 1.0) > PROFILE_TOL:
+        if abs(F[-1] - 1.0) > NORMALIZATION_TOL:
             raise DataError(f"cumulative profile must end at 1, got {F[-1]!r}")
         object.__setattr__(self, "x", _frozen_array(x))
         object.__setattr__(self, "F", _frozen_array(F))
@@ -84,7 +83,7 @@ def cumulative_masses(hist: Histogram) -> CumulativeProfile:
     masses = hist.heights * hist.widths
     F = np.concatenate(([0.0], np.cumsum(masses)))
     total = F[-1]
-    if abs(total - 1.0) > PROFILE_TOL:
+    if abs(total - 1.0) > NORMALIZATION_TOL:
         raise DataError(f"histogram masses sum to {total!r}, not 1")
     return CumulativeProfile(x=hist.edges, F=F / total)
 

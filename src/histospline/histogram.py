@@ -39,8 +39,8 @@ MAX_KNUTH_SEARCH = 10_000
 NORMALIZATION_TOL = 1e-12
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -81,7 +81,11 @@ class Samples:
                 raise DataError("weights must all be finite")
             if np.any(weights < 0.0):
                 raise DataError("weights must be nonnegative")
-            if float(weights.sum()) <= 0.0:
+            with np.errstate(over="ignore"):
+                total = float(weights.sum())
+            if not math.isfinite(total):
+                raise DataError("the weight total overflows the float range")
+            if total <= 0.0:
                 raise DataError("at least one weight must be positive")
             weights = _frozen_array(weights)
         object.__setattr__(self, "values", _frozen_array(values))
@@ -392,22 +396,17 @@ HISTOGRAM_BLOCK = 65536
 
 
 def _bin_masses(values: np.ndarray, weights: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    # np.histogram(values, bins=edges, weights=weights) operation for
-    # operation: per block, the cumulative sorted weights at the edge
-    # positions, summed over blocks and differenced.  Equal weights have
-    # the same cumulative sums in any order, so their blocks are sorted
-    # in place of the argsort-and-gather.
-    equal_weights = bool(np.all(weights == weights[0]))
+    if not np.all(weights == weights[0]):
+        return np.histogram(values, bins=edges, weights=weights)[0]
+    # Equal weights, as every CLI run has: np.histogram(values, bins=edges,
+    # weights=weights) operation for operation, per block the cumulative
+    # weights at the sorted block's edge positions, summed over blocks and
+    # differenced.  Equal weights have the same cumulative sums in any
+    # order, so only the block's values are sorted.
     cumulative = np.zeros(edges.size)
     for i in range(0, values.size, HISTOGRAM_BLOCK):
-        block = values[i:i + HISTOGRAM_BLOCK]
-        block_weights = weights[i:i + HISTOGRAM_BLOCK]
-        if equal_weights:
-            block = np.sort(block)
-        else:
-            order = np.argsort(block)
-            block, block_weights = block[order], block_weights[order]
-        cumulative_weights = np.concatenate(([0.0], block_weights.cumsum()))
+        block = np.sort(values[i:i + HISTOGRAM_BLOCK])
+        cumulative_weights = np.concatenate(([0.0], weights[i:i + HISTOGRAM_BLOCK].cumsum()))
         positions = np.concatenate((
             block.searchsorted(edges[:-1], side="left"),
             block.searchsorted(edges[-1:], side="right"),

@@ -29,6 +29,7 @@ from histospline import (
     kl_divergence,
     select_bin_count,
 )
+from histospline import cli
 from histospline.cli import _read_columns, main
 from histospline.histogram import MAX_BIN_COUNT, MAX_KNUTH_SEARCH
 
@@ -206,7 +207,7 @@ class TestReaderParity:
                      "not UTF-8 text (invalid start byte)", id="estimate-not-utf8"),
         pytest.param("compare", "u,pdf\n0.0,1.0\n\udcff,1.0\n",
                      "not UTF-8 text (invalid start byte)", id="compare-not-utf8"),
-        # decoded inside loadtxt, whose ValueError sends the file to the fallback
+        # decoded inside loadtxt, whose decode error is reported without the fallback
         pytest.param("estimate", "x\n" + "1\n" * 100_000 + "\udcff\n2\n",
                      "not UTF-8 text (invalid start byte)", id="estimate-not-utf8-late"),
         pytest.param("estimate", "x\n1\n" + "a" * 131_073 + "\n2\n",
@@ -224,6 +225,18 @@ class TestReaderParity:
             assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {path}: {message}\n"
+
+    def test_late_non_utf8_byte_skips_the_fallback(self, tmp_path, capsys, monkeypatch):
+        # the fallback would only parse every row again and hit the same byte
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x\n" + b"1\n" * 100_000 + b"\xff\n2\n")
+
+        def no_fallback(*args):
+            raise AssertionError("the fallback reader ran")
+
+        monkeypatch.setattr(cli, "_parse_rows", no_fallback)
+        assert main(["estimate", "--input", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
 
 
 class TestEstimate:
@@ -384,6 +397,17 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert "overflows" in err and "Traceback" not in err
 
+    def test_non_finite_spline_is_a_numeric_error(self, tmp_path, capsys):
+        # three bins 1e-300 wide: the fitted slopes overflow the float range
+        path = tmp_path / "tiny.csv"
+        path.write_text("x\n0\n1e-300\n5e-301\n")
+        out = tmp_path / "out"
+        assert main(["estimate", "--input", str(path), "--rule", "fixed:3",
+                     "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: spline coefficients are not finite for boundary not-a-knot")
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         assert main([
             "estimate", "--input", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)
@@ -455,6 +479,7 @@ class TestCompare:
         ("u,pdf\n0,1\nnan,1\n2,1\n", "row 3, column 'u': non-finite value"),
         # the fallback names the first bad cell in file order
         ("u,pdf\n0.0,1.0\n0.5,oops\nbad,1.0\n", "row 3, column 'pdf': bad numeric value"),
+        ("u,pdf\n0,1\n0,1\n", "curve grid must be strictly increasing"),
     ])
     def test_bad_curve_file_is_a_data_error(self, curve, tmp_path, capsys, text, message):
         bad = tmp_path / "bad-curve.csv"
@@ -551,6 +576,21 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith(f"{message}\n")
 
+    @pytest.mark.parametrize("content, message", [
+        (b"[1]", "config file {path} must hold a JSON object"),
+        (None, "cannot read config file {path}: [Errno 2] No such file or directory"),
+        (b'{"bc": "bogus"}', "unknown boundary condition 'bogus'"),
+        (b'{"seed": -1}', "seed must be >= 0"),
+    ], ids=["list", "missing", "bad-bc", "negative-seed"])
+    def test_bad_config_file_is_a_usage_error(self, tmp_path, capsys, content, message):
+        config_path = tmp_path / "run.json"
+        if content is not None:
+            config_path.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(config_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: " + message.format(path=config_path))
+        assert not out.exists()
+
     def test_generator_ranges_flow_through(self, tmp_path):
         out = tmp_path / "ranged"
         assert main([
@@ -614,4 +654,15 @@ def test_oversized_inputs_are_usage_errors_before_allocation(tmp_path, argv, mes
     result = run_cli_limited(argv, tmp_path)
     assert result.returncode == 1
     assert message in result.stderr and "Traceback" not in result.stderr
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--count", "2", "--seed", "-1"],
+    ["estimate", "--simulate", "--count", "2", "--seed", "-5"],
+], ids=["generate", "estimate-simulate"])
+def test_negative_seed_is_a_usage_error(tmp_path, argv):
+    result = run_cli_limited(argv, tmp_path)
+    assert result.returncode == 1
+    assert result.stderr == "error: seed must be >= 0\n"
     assert not any(tmp_path.iterdir())

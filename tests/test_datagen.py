@@ -104,6 +104,24 @@ class TestTimeSeriesValidation:
         with pytest.raises(DataError):
             TimeSeries(t=np.array([0.0, 1.0, 2.0]), x=np.array([0.0, 1.0]))
 
+    def test_valid_series_is_a_read_only_copy(self):
+        t, x = [0.0, 0.5, 1.0], [0.0, 2.0, 2.0]
+        series = TimeSeries(t=t, x=x)
+        assert series.t.tolist() == t and series.x.tolist() == x
+        assert len(series) == 3
+        for arr in (series.t, series.x):
+            with pytest.raises(ValueError):
+                arr[0] = 9.0
+
+    @pytest.mark.parametrize("t, x, message", [
+        ([0.0, 1.0, 2.0], [0.0, np.inf, np.inf], "finite"),
+        ([0.0, np.nan, 2.0], [0.0, 1.0, 2.0], "finite"),
+        ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], "sample times must be non-decreasing"),
+    ])
+    def test_rejects_bad_traces(self, t, x, message):
+        with pytest.raises(DataError, match=message):
+            TimeSeries(t=np.array(t), x=np.array(x))
+
 
 class TestGenerateCorpus:
     def test_deterministic_under_fixed_seed(self):
@@ -148,6 +166,27 @@ class TestGenerateCorpus:
             ScenarioRanges(v0=(-1.0, 20.0), t_react=(1.0, 1.0), decel=(4.0, 4.0), dt=0.01)
         with pytest.raises(DataError, match="dt"):
             ScenarioRanges(v0=(20.0, 25.0), t_react=(1.0, 1.0), decel=(4.0, 4.0), dt=-0.5)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(DataError, match="seed must be a non-negative integer"):
+            generate_corpus(2, seed=seed)
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        a, b = generate_corpus(2, seed=np.int64(3)), generate_corpus(2, seed=3)
+        assert all(np.array_equal(s.x, r.x) for s, r in zip(a, b))
+
+    @pytest.mark.parametrize("ranges, message", [
+        (dict(v0=(20.0, np.inf)), "v0 range must be finite"),
+        (dict(decel=(np.nan, 4.0)), "decel range must be finite"),
+        (dict(t_react=(-0.1, 1.0)), "t_react range must be nonnegative"),
+        (dict(decel=(0.0, 4.0)), "decel range must be positive"),
+        (dict(decel=(-1.0, 4.0)), "decel range must be positive"),
+    ])
+    def test_bad_ranges(self, ranges, message):
+        fields = dict(v0=(20.0, 25.0), t_react=(1.0, 1.0), decel=(4.0, 4.0), dt=0.01)
+        with pytest.raises(DataError, match=message):
+            ScenarioRanges(**{**fields, **ranges})
 
     def test_flatten_positions(self):
         corpus = generate_corpus(4, seed=9)

@@ -67,6 +67,17 @@ class TestCumulativeProfile:
         with pytest.raises(DataError, match="non-decreasing"):
             CumulativeProfile(x=np.array([0.0, 1.0, 2.0]), F=np.array([0.0, 0.8, 0.5]))
 
+    @pytest.mark.parametrize("x, F, message", [
+        ([0.0], [0.0], "equal length >= 2"),
+        ([0.0, 1.0, 2.0], [0.0, 1.0], "equal length >= 2"),
+        ([0.0, np.nan], [0.0, 1.0], "x and F must be finite"),
+        ([0.0, 1.0], [0.0, np.inf], "x and F must be finite"),
+        ([0.0, 2.0, 1.0], [0.0, 0.5, 1.0], "x must be strictly increasing"),
+    ])
+    def test_rejects_malformed_profile(self, x, F, message):
+        with pytest.raises(DataError, match=message):
+            CumulativeProfile(x=np.array(x), F=np.array(F))
+
     def test_unnormalized_histogram_cannot_enter(self):
         # the histogram type itself guards the unit-mass premise
         with pytest.raises(DataError, match="normalized"):

@@ -59,6 +59,16 @@ class TestSamples:
         with pytest.raises(DataError, match="positive"):
             Samples(np.array([1.0, 2.0]), weights=np.array([0.0, 0.0]))
 
+    @pytest.mark.parametrize("weights, message", [
+        ([1.0, np.nan, 1.0], "weights must all be finite"),
+        ([1.0, np.inf, 1.0], "weights must all be finite"),
+        # each weight is finite, their sum is not; no overflow warning escapes
+        ([1e308] * 3, "the weight total overflows the float range"),
+    ], ids=["nan", "inf", "overflowing-total"])
+    def test_bad_weights_are_data_errors(self, weights, message):
+        with pytest.raises(DataError, match=message):
+            Samples(np.array([0.0, 1.0, 2.0]), weights=np.array(weights))
+
     def test_values_are_read_only(self):
         s = uniform_samples([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
@@ -157,6 +167,11 @@ class TestSelectBinCount:
             with pytest.raises(DataError, match="range"):
                 select_bin_count(s, rule)
 
+    def test_scott_zero_standard_deviation(self):
+        # the range is one subnormal step, the squared deviations underflow to 0
+        with pytest.raises(DataError, match="zero standard deviation"):
+            select_bin_count(uniform_samples([0.0, 5e-324]), BinRule.scott())
+
     def test_degenerate_iqr_rejected(self):
         # over half the mass at one point: zero IQR but positive range
         s = uniform_samples([5.0] * 20 + [9.0])
@@ -247,6 +262,16 @@ class TestKnuthLogPosterior:
     def test_count_mismatch(self):
         with pytest.raises(DataError, match="sum"):
             knuth_log_posterior([5, 5], 11)
+
+    @pytest.mark.parametrize("counts, total, message", [
+        ([], 1, "non-empty 1-d"),
+        ([[1, 2]], 3, "non-empty 1-d"),
+        ([3, -1], 2, "nonnegative"),
+        ([0, 0], 0, "total must be a positive integer"),
+    ])
+    def test_bad_inputs(self, counts, total, message):
+        with pytest.raises(DataError, match=message):
+            knuth_log_posterior(counts, total)
 
     def test_matches_scipy_gammaln(self):
         rng = np.random.default_rng(12)
@@ -499,6 +524,17 @@ class TestBuildHistogram:
     def test_non_normalized_histogram_rejected(self):
         with pytest.raises(DataError, match="normalized"):
             Histogram(edges=np.array([0.0, 1.0, 2.0, 3.0]), heights=np.array([0.75, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("edges, heights, message", [
+        ([0.0], [], "edges must be a 1-d array of at least 2 values"),
+        ([0.0, 1.0, 2.0], [1.0], "heights must have exactly"),
+        ([0.0, 1.0, np.inf], [0.5, 0.5], "must be finite"),
+        ([0.0, 1.0, 1.0, 2.0], [0.5, 0.0, 0.5], "edges must be strictly increasing"),
+        ([0.0, 1.0, 2.0], [1.5, -0.5], "heights must be nonnegative"),
+    ])
+    def test_malformed_histogram_rejected(self, edges, heights, message):
+        with pytest.raises(DataError, match=message):
+            Histogram(edges=np.array(edges), heights=np.array(heights))
 
 
 @given(

@@ -8,6 +8,7 @@ from scipy.interpolate import CubicSpline
 
 from histospline import (
     Boundary,
+    CubicSplineModel,
     DataError,
     NumericError,
     OutOfSupportError,
@@ -141,6 +142,12 @@ class TestBasisDerivative:
     def test_degree_zero_rejected(self):
         with pytest.raises(DataError, match="degree"):
             bspline_basis_derivative(0, 0, np.arange(4.0), 1.0)
+
+    @pytest.mark.parametrize("i", [-1, 6])
+    def test_index_out_of_range(self, i):
+        # 10 knots carry basis functions 0..5 of degree 3
+        with pytest.raises(IndexError, match=r"out of range \[0, 5\]"):
+            bspline_basis_derivative(i, 3, np.arange(10.0), 4.5)
 
     @pytest.mark.parametrize("name", sorted(KNOT_VECTORS))
     def test_derivatives_sum_to_zero(self, name):
@@ -447,6 +454,24 @@ class TestModelEvaluation:
         _, _, model = sample_model(seed=17)
         with pytest.raises(DataError, match="order"):
             model.derivative(model.knots[0], order=4)
+
+    def test_third_derivative_is_six_times_the_cubic_coefficient(self):
+        _, _, model = sample_model(seed=18)
+        mids = 0.5 * (model.knots[:-1] + model.knots[1:])
+        expected = 6.0 * model.coefficients[:, 3]
+        assert np.array_equal(model.derivative(mids, 3), expected)
+        assert model.derivative(float(mids[0]), 3) == expected[0]
+
+    @pytest.mark.parametrize("knots, coefficients, message", [
+        ([0.0], np.zeros((0, 4)), "need at least 2 knots"),
+        ([0.0, 1.0, 1.0], np.zeros((2, 4)), "knots must be strictly increasing"),
+        ([0.0, 1.0, 2.0], np.zeros((2, 3)), r"coefficients must have shape \(2, 4\)"),
+        ([0.0, 1.0], [[0.0, np.nan, 0.0, 0.0]], "knots and coefficients must be finite"),
+    ])
+    def test_malformed_model_rejected(self, knots, coefficients, message):
+        with pytest.raises(DataError, match=message):
+            CubicSplineModel(knots=np.array(knots), coefficients=np.array(coefficients),
+                             boundary=Boundary.NATURAL)
 
 
 def basis_second_derivative(i, p, tau, u):
