@@ -42,6 +42,7 @@ from .histogram import (
     DEFAULT_KNUTH_SEARCH_MAX,
     BinRule,
     Samples,
+    _size,
     build_histogram,
     select_bin_count,
 )
@@ -81,19 +82,15 @@ class RunConfig:
     curve_b: str | None = None
 
     def __post_init__(self):
-        if not 2 <= self.grid <= MAX_GRID_SIZE:
-            raise UsageError(f"grid size must be in 2..{MAX_GRID_SIZE}")
-        if self.count < 1:
-            raise UsageError("count must be >= 1")
-        if self.seed < 0:
-            raise UsageError("seed must be >= 0")
-        if self.command == "estimate" and not (bool(self.input) ^ bool(self.simulate)):
-            raise UsageError("estimate needs exactly one input source: --input or --simulate")
         # every command checks every setting, so a bad value fails fast
         try:
+            _size(self.grid, "grid size", 2, MAX_GRID_SIZE)
+            _size(self.count, "count", 1)
+            _size(self.seed, "seed", 0)
+            if self.command == "estimate" and not (bool(self.input) ^ bool(self.simulate)):
+                raise UsageError("estimate needs exactly one input source: --input or --simulate")
             self.bin_rule()
-            if self.bc not in {b.value for b in Boundary}:
-                raise DataError(f"unknown boundary condition {self.bc!r}")
+            Boundary(self.bc)
             check_corpus_size(self.count, self.ranges())
         except DataError as exc:
             raise UsageError(str(exc)) from exc
@@ -280,13 +277,18 @@ def _parse_rows(path: str, fh, columns: tuple[str, ...], indices: list[int]) -> 
     return np.frombuffer(values).reshape(-1, len(indices))
 
 
-def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
-    table = _read_columns(path, "u", "pdf")
+def _read_finite(path: str, *columns: str) -> np.ndarray:
+    """:func:`_read_columns`, with a :class:`DataError` naming the first non-finite cell."""
+    table = _read_columns(path, *columns)
     bad = np.argwhere(~np.isfinite(table.T))  # (row, column) pairs in file order
     if bad.size:
         row, col = bad[0].tolist()
-        raise DataError(f"{path}: row {row + 2}, column {('u', 'pdf')[col]!r}: non-finite value")
-    u, pdf = table
+        raise DataError(f"{path}: row {row + 2}, column {columns[col]!r}: non-finite value")
+    return table
+
+
+def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
+    u, pdf = _read_finite(path, "u", "pdf")
     if np.any(np.diff(u) <= 0.0):
         raise DataError(f"{path}: curve grid must be strictly increasing")
     return u, pdf
@@ -331,7 +333,7 @@ def _estimate_summary(config: RunConfig, estimate, sample_count: int, source: st
 
 def cmd_estimate(config: RunConfig) -> int:
     if config.input:
-        (values,) = _read_columns(config.input, config.column)
+        (values,) = _read_finite(config.input, config.column)
         source = f"{config.input}#{config.column}"
     else:
         corpus = generate_corpus(config.count, config.ranges(), seed=config.seed)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .histogram import _frozen_array
+from .histogram import _frozen_array, _size
 
 __all__ = [
     "BrakingScenario",
@@ -226,15 +226,11 @@ def generate_corpus(
 
     Each series uses its own PCG64 stream seeded by ``(seed, index)``, so
     the corpus is reproducible and independent of generation order.
-    Raises :class:`DataError` before drawing when the seed is not a
-    non-negative integer or the corpus could exceed
-    :data:`MAX_CORPUS_SAMPLES` samples.
+    Raises :class:`DataError` before drawing when ``count`` is not a
+    positive integer, the seed not a non-negative one, or the corpus could
+    exceed :data:`MAX_CORPUS_SAMPLES` samples.
     """
-    count = int(count)
-    if count < 1:
-        raise DataError("count must be >= 1")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DataError(f"seed must be a non-negative integer, got {seed!r}")
+    count, seed = _size(count, "count", 1), _size(seed, "seed", 0)
     if ranges is None:
         ranges = DEFAULT_RANGES
     check_corpus_size(count, ranges)

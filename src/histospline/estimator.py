@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, DisjointSupportsError
 from .histogram import (
-    NORMALIZATION_TOL, BinRule, Histogram, Samples, _frozen_array, build_histogram,
+    NORMALIZATION_TOL, BinRule, Histogram, Samples, _frozen_array, _size, build_histogram,
     select_bin_count,
 )
 from .spline import Boundary, CubicSplineModel, fit_interpolating_spline
@@ -156,9 +156,6 @@ def estimate_from_histogram(
     bin count (e.g. to export the histogram itself) use this to avoid
     re-running the selection scan.
     """
-    boundary = Boundary(boundary)
-    if boundary is Boundary.NOT_A_KNOT and hist.bin_count < 3:
-        raise DataError(f"not-a-knot needs at least 3 bins, histogram has {hist.bin_count}")
     profile = cumulative_masses(hist)
     spline = fit_interpolating_spline(profile.x, profile.F, boundary)
     return PdfEstimate(spline=spline, profile=profile, rule=rule)
@@ -200,8 +197,7 @@ def kl_divergence(p: PdfEstimate, q: PdfEstimate, grid_size: int = 1001) -> floa
 def _overlap_grid(a: tuple[float, float], b: tuple[float, float], grid_size: int) -> np.ndarray:
     """Uniform ``grid_size``-point grid over the intersection of supports
     ``a`` and ``b``; :class:`DisjointSupportsError` if it is empty."""
-    if not 2 <= grid_size <= MAX_GRID_SIZE:
-        raise DataError(f"grid_size must be in 2..{MAX_GRID_SIZE}")
+    grid_size = _size(grid_size, "grid_size", 2, MAX_GRID_SIZE)
     lo, hi = max(a[0], b[0]), min(a[1], b[1])
     if not lo < hi:
         raise DisjointSupportsError(f"supports {a} and {b} do not overlap")
@@ -216,8 +212,7 @@ def count_turning_points(est: PdfEstimate, grid_size: int = 512) -> int:
     granularity; ``grid_size`` is validated for interface compatibility
     but cannot refine an already-exact count.
     """
-    if grid_size < 3:
-        raise DataError("grid_size must be >= 3")
+    _size(grid_size, "grid_size", 3)
     signs = np.sign(est.spline.coefficients[:, 3])
     signs = signs[signs != 0.0]
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
@@ -229,8 +224,7 @@ def quadrature_normalization(est: PdfEstimate, points: int = 10001) -> float:
     Computed as ``scipy.integrate.simpson(est(u), x=u)`` does, operation
     for operation (with Cartwright's last-interval term for even ``points``).
     """
-    if not 2 <= points <= MAX_GRID_SIZE:
-        raise DataError(f"points must be in 2..{MAX_GRID_SIZE}")
+    points = _size(points, "points", 2, MAX_GRID_SIZE)
     lo, hi = est.support
     u = np.linspace(lo, hi, points)
     y, h = est(u), np.diff(u)

@@ -45,6 +45,16 @@ def _frozen_array(values) -> np.ndarray:
     return out
 
 
+def _size(value, name: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as an ``int``: an integer (not a bool) in ``lo..hi``, or
+    ``>= lo`` when ``hi`` is None; :class:`DataError` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    if value < lo or hi is not None and value > hi:
+        raise DataError(f"{name} must be " + (f">= {lo}" if hi is None else f"in {lo}..{hi}"))
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Samples:
     """Observation vector with per-sample weights.
@@ -115,12 +125,12 @@ class BinRule:
                 f"unknown bin rule {self.tag!r}; expected one of {', '.join(RULE_TAGS)}"
             )
         if self.tag == "fixed":
-            if self.fixed_count is None or not 1 <= int(self.fixed_count) <= MAX_BIN_COUNT:
-                raise DataError(f"fixed bin rule requires a count in 1..{MAX_BIN_COUNT}")
+            count = _size(self.fixed_count, "fixed bin count", 1, MAX_BIN_COUNT)
+            object.__setattr__(self, "fixed_count", count)
         elif self.fixed_count is not None:
             raise DataError(f"fixed_count is only valid with the 'fixed' rule, not {self.tag!r}")
-        if not 1 <= int(self.knuth_search_max) <= MAX_KNUTH_SEARCH:
-            raise DataError(f"knuth_search_max must be in 1..{MAX_KNUTH_SEARCH}")
+        search_max = _size(self.knuth_search_max, "knuth_search_max", 1, MAX_KNUTH_SEARCH)
+        object.__setattr__(self, "knuth_search_max", search_max)
 
     @classmethod
     def sqrt(cls) -> "BinRule":
@@ -149,19 +159,16 @@ class BinRule:
     @classmethod
     def parse(cls, text: str, knuth_search_max: int = DEFAULT_KNUTH_SEARCH_MAX) -> "BinRule":
         """Parse a rule label such as ``"knuth"`` or ``"fixed:12"``."""
-        text = text.strip().lower()
+        text, count = text.strip().lower(), None
         if text.startswith("fixed:"):
-            raw = text.split(":", 1)[1]
+            text, raw = text.split(":", 1)
             try:
                 count = int(raw)
             except ValueError as exc:
                 raise DataError(f"bad fixed bin count {raw!r}") from exc
-            return cls.fixed(count)
-        if text == "fixed":
+        elif text == "fixed":
             raise DataError("fixed rule needs a count, e.g. 'fixed:10'")
-        if text == "knuth":
-            return cls.knuth(knuth_search_max)
-        return cls(text)
+        return cls(text, fixed_count=count, knuth_search_max=knuth_search_max)
 
     def label(self) -> str:
         """Canonical string form, the inverse of :meth:`parse`."""
@@ -248,7 +255,7 @@ def select_bin_count(samples: Samples, rule: BinRule) -> int:
     if rule.tag == "sturges":
         return math.ceil(math.log2(n)) + 1
     if rule.tag == "fixed":
-        return int(rule.fixed_count)
+        return rule.fixed_count
 
     lo, hi = float(values.min()), float(values.max())
     if hi == lo:
@@ -265,7 +272,7 @@ def select_bin_count(samples: Samples, rule: BinRule) -> int:
             raise DataError("zero interquartile range; Freedman-Diaconis rule is undefined")
         width = 2.0 * iqr * n ** (-1.0 / 3.0)
     else:
-        return _knuth_scan(values, int(rule.knuth_search_max))
+        return _knuth_scan(values, rule.knuth_search_max)
     # the ratio can overflow, and the width underflow to 0, on extreme spreads
     bins = (hi - lo) / width if width > 0.0 else math.inf
     if not bins <= MAX_BIN_COUNT:
@@ -292,10 +299,9 @@ def knuth_log_posterior(counts, total: int) -> float:
         raise DataError("counts must be a non-empty 1-d sequence")
     if np.any(counts < 0):
         raise DataError("counts must be nonnegative")
-    if int(total) < 1:
-        raise DataError("total must be a positive integer")
-    if int(counts.sum()) != int(total):
-        raise DataError(f"counts sum to {int(counts.sum())}, expected total {int(total)}")
+    total = _size(total, "total", 1)
+    if int(counts.sum()) != total:
+        raise DataError(f"counts sum to {int(counts.sum())}, expected total {total}")
     return _knuth_formula(counts.size, total, map(math.lgamma, (counts + 0.5).tolist()))
 
 
@@ -372,20 +378,19 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
     are the bin masses divided by total mass and bin width.  Raises
     :class:`DataError` when a bin is so narrow that its height overflows.
     """
-    if not 1 <= int(bin_count) <= MAX_BIN_COUNT:
-        raise DataError(f"bin_count must be in 1..{MAX_BIN_COUNT}, got {int(bin_count)}")
+    bin_count = _size(bin_count, "bin_count", 1, MAX_BIN_COUNT)
     values, weights = samples.values, samples.weights
     lo, hi = float(values.min()), float(values.max())
     if hi == lo:
         raise DataError("all samples are equal; cannot histogram a zero range")
-    edges = np.linspace(lo, hi, int(bin_count) + 1)
+    edges = np.linspace(lo, hi, bin_count + 1)
     masses = _bin_masses(values, weights, edges)
     total = masses.sum()
     with np.errstate(over="ignore"):
         heights = masses / (total * np.diff(edges))
     if np.isinf(heights).any():
         raise DataError(
-            f"bin density overflows: {int(bin_count)} bins over a range of {hi - lo!r} "
+            f"bin density overflows: {bin_count} bins over a range of {hi - lo!r} "
             "give bin widths too narrow for a finite height"
         )
     return Histogram(edges=edges, heights=heights)

@@ -52,6 +52,10 @@ class Boundary(str, Enum):
     NATURAL = "natural"          # zero second derivative at both ends
     NOT_A_KNOT = "not-a-knot"    # first two / last two segments share one cubic
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DataError(f"unknown boundary condition {value!r}")
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
@@ -163,8 +167,9 @@ class CubicSplineModel:
         """Map evaluation points to (segment index, local offset)."""
         arr = np.asarray(u, dtype=float)
         lo, hi = self.knots[0], self.knots[-1]
-        if arr.size and (np.min(arr) < lo or np.max(arr) > hi):
-            bad = arr.flat[int(np.argmax((arr < lo) | (arr > hi)))]
+        outside = ~((arr >= lo) & (arr <= hi))  # NaN is outside too
+        if outside.any():
+            bad = arr.flat[int(np.argmax(outside))]
             raise OutOfSupportError(
                 f"evaluation point {bad!r} outside support [{lo!r}, {hi!r}]"
             )
@@ -228,13 +233,13 @@ def fit_interpolating_spline(x, F, boundary: Boundary | str) -> CubicSplineModel
     Notes
     -----
     The moments ``M_i = S''(x_i)`` solve one tridiagonal system in O(m)
-    time and memory.  Natural ends fix ``M_0 = M_{m-1} = 0`` and leave
-    the ``m - 2`` interior rows; clamped ends add two tridiagonal rows.
-    For not-a-knot, ``M_0`` and ``M_{m-1}`` are eliminated into rows 1
-    and ``m - 2``, the system is solved for ``M_1 .. M_{m-2}``, and the
-    two ends are recovered from the not-a-knot conditions.  Eliminating
-    in this direction (not ``M_2`` from row 0) keeps the reduced rows
-    strictly diagonally dominant, so the solve needs no pivoting.
+    time and memory.  Clamped and natural ends add one tridiagonal row at
+    each end of the ``m - 2`` interior rows.  For not-a-knot, ``M_0`` and
+    ``M_{m-1}`` are eliminated into rows 1 and ``m - 2``, the system is
+    solved for ``M_1 .. M_{m-2}``, and the two ends are recovered from the
+    not-a-knot conditions.  Eliminating in this direction (not ``M_2``
+    from row 0) keeps the reduced rows strictly diagonally dominant, so
+    the solve needs no pivoting.
     """
     boundary = Boundary(boundary)
     x = np.asarray(x, dtype=float)
@@ -247,7 +252,7 @@ def fit_interpolating_spline(x, F, boundary: Boundary | str) -> CubicSplineModel
     if m < 2:
         raise DataError("need at least 2 interpolation points")
     if boundary is Boundary.NOT_A_KNOT and m < 4:
-        raise DataError("not-a-knot requires at least 4 points (two distinct end segments)")
+        raise DataError(f"not-a-knot needs at least 4 knots (3 bins), got {m}")
     if np.any(np.diff(x) <= 0.0):
         raise DataError("x must be strictly increasing")
 
@@ -279,26 +284,26 @@ def _solve_moments(h: np.ndarray, slopes: np.ndarray, boundary: Boundary) -> np.
             = 6 (slopes[i] - slopes[i-1]).
 
     The clamped end rows are ``2 h[0] M_0 + h[0] M_1 = 6 slopes[0]`` and
-    its mirror image.  The not-a-knot end row ``h[1] M_0 - (h[0] + h[1])
-    M_1 + h[0] M_2 = 0`` enters only through the ratio ``h[0] / h[1]``, so
-    no product of two spacings can underflow.
+    its mirror image; the natural ones, ``M_0 = 0`` and ``M_{m-1} = 0``,
+    leave the other rows' elimination unchanged.  The not-a-knot end row
+    ``h[1] M_0 - (h[0] + h[1]) M_1 + h[0] M_2 = 0`` enters only through the
+    ratio ``h[0] / h[1]``, so no product of two spacings can underflow.
     """
-    m = h.size + 1
     rhs = 6.0 * np.diff(slopes)
     sub = h[:-1].copy()
     diag = 2.0 * (h[:-1] + h[1:])
     sup = h[1:].copy()
 
-    if boundary is Boundary.NATURAL:
-        moments = np.zeros(m)
-        moments[1:-1] = _solve_tridiagonal(sub[1:], diag, sup[:-1], rhs)
-        return moments
-
-    if boundary is Boundary.CLAMPED:
-        sub = np.concatenate((sub, [h[-1]]))
-        diag = np.concatenate(([2.0 * h[0]], diag, [2.0 * h[-1]]))
-        sup = np.concatenate(([h[0]], sup))
-        rhs = np.concatenate(([6.0 * slopes[0]], rhs, [-6.0 * slopes[-1]]))
+    if boundary is not Boundary.NOT_A_KNOT:
+        # (diagonal, off-diagonal, right-hand side) of the first and last rows
+        first = last = (1.0, 0.0, 0.0)  # natural: literal zeros, never -0.0
+        if boundary is Boundary.CLAMPED:
+            first = (2.0 * h[0], h[0], 6.0 * slopes[0])
+            last = (2.0 * h[-1], h[-1], -6.0 * slopes[-1])
+        sub = np.concatenate((sub, [last[1]]))
+        diag = np.concatenate(([first[0]], diag, [last[0]]))
+        sup = np.concatenate(([first[1]], sup))
+        rhs = np.concatenate(([first[2]], rhs, [last[2]]))
         return _solve_tridiagonal(sub, diag, sup, rhs)
 
     # Not-a-knot: M_0 = M_1 + r0 (M_1 - M_2) with r0 = h[0] / h[1], and the
@@ -308,7 +313,7 @@ def _solve_moments(h: np.ndarray, slopes: np.ndarray, boundary: Boundary) -> np.
     sup[0] -= h[0] * r0
     diag[-1] += h[-1] * (1.0 + rl)
     sub[-1] -= h[-1] * rl
-    moments = np.empty(m)
+    moments = np.empty(h.size + 1)
     moments[1:-1] = _solve_tridiagonal(sub[1:], diag, sup[:-1], rhs)
     moments[0] = moments[1] + r0 * (moments[1] - moments[2])
     moments[-1] = moments[-2] + rl * (moments[-2] - moments[-3])
@@ -326,8 +331,6 @@ def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     """
     sub, diag, sup, rhs = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
     n = len(diag)
-    if n == 0:
-        return np.zeros(0)
     for i in range(1, n):
         w = sub[i - 1] / diag[i - 1]
         diag[i] -= w * sup[i - 1]

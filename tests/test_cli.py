@@ -338,6 +338,18 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert "row 3" in err and "'x'" in err
 
+    @pytest.mark.parametrize("text, row", [
+        ("x\n1\n2\ninf\n3\n", 4), ("x\n1\nnan\n2\n", 3), ("x\n1\n2\n1e400\n", 4),
+    ], ids=["inf", "nan", "1e400"])
+    def test_non_finite_cell_reports_row_and_column(self, tmp_path, capsys, text, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        assert main(["estimate", "--input", str(bad), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: row {row}, column 'x': non-finite value\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["x,y\n1,2\n3\n4,5\n", "x,y\n1,2\n3,\n4,5\n"])
     def test_short_row_or_empty_cell_reports_row_and_column(self, tmp_path, capsys, text):
         bad = tmp_path / "short.csv"
@@ -428,6 +440,36 @@ class TestEstimate:
             "--out-dir", str(tmp_path),
         ]) == 1
 
+    @pytest.mark.parametrize("rule", ["sqrt", "fd", "fixed:5", "knuth"])
+    @pytest.mark.parametrize("knuth_max", ["0", "20000"])
+    def test_knuth_max_is_checked_under_every_rule(self, small_corpus_file, tmp_path, capsys,
+                                                   rule, knuth_max):
+        out = tmp_path / "out"
+        assert main([
+            "estimate", "--input", str(small_corpus_file), "--rule", rule,
+            "--knuth-max", knuth_max, "--out-dir", str(out),
+        ]) == 1
+        assert capsys.readouterr().err == "error: knuth_search_max must be in 1..10000\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rule", ["fixed:0", "fixed:1000000000000"])
+    def test_fixed_count_out_of_range_message(self, small_corpus_file, tmp_path, capsys, rule):
+        assert main([
+            "estimate", "--input", str(small_corpus_file), "--rule", rule,
+            "--out-dir", str(tmp_path),
+        ]) == 1
+        assert capsys.readouterr().err == "error: fixed bin count must be in 1..1000000\n"
+
+    def test_not_a_knot_on_two_bins_is_a_data_error(self, small_corpus_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([
+            "estimate", "--input", str(small_corpus_file), "--rule", "fixed:2",
+            "--bc", "not-a-knot", "--out-dir", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "error: not-a-knot needs at least 4 knots (3 bins), got 3\n"
+        )
+
     def test_unknown_bc_is_rejected_by_the_parser(self, small_corpus_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main([
@@ -517,6 +559,12 @@ class TestConfigHandling:
         assert config["command"] == "generate"
         assert not out.exists()
 
+    def test_float_config_value_is_emitted(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text('{"dt": 0.02}')
+        assert main(["generate", "--config", str(config_path), "--emit-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["dt"] == 0.02
+
     def test_builtin_defaults(self, capsys):
         assert main(["generate", "--emit-config"]) == 0
         config = json.loads(capsys.readouterr().out)
@@ -568,6 +616,7 @@ class TestConfigHandling:
         (b'{"v0_range": 5}', "config key 'v0_range' has a value of the wrong type: 5"),
         (b'{"knuth_max": "abc"}', "config key 'knuth_max' has a value of the wrong type: 'abc'"),
         (b'{"rule": 5}', "config key 'rule' has a value of the wrong type: 5"),
+        (b'{"dt": true}', "config key 'dt' has a value of the wrong type: True"),
     ])
     def test_config_value_of_the_wrong_type(self, tmp_path, capsys, content, message):
         config_path = tmp_path / "run.json"

@@ -169,8 +169,17 @@ class TestGenerateCorpus:
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
-        with pytest.raises(DataError, match="seed must be a non-negative integer"):
+        with pytest.raises(DataError, match="seed must be (>= 0|an integer)"):
             generate_corpus(2, seed=seed)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, "2"])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(DataError, match="count must be an integer, got"):
+            generate_corpus(count, seed=1)
+
+    def test_numpy_integer_count_is_the_same_count(self):
+        a, b = generate_corpus(np.int64(2), seed=3), generate_corpus(2, seed=3)
+        assert len(a) == 2 and all(np.array_equal(s.x, r.x) for s, r in zip(a, b))
 
     def test_numpy_integer_seed_is_the_same_seed(self):
         a, b = generate_corpus(2, seed=np.int64(3)), generate_corpus(2, seed=3)

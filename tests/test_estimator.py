@@ -16,6 +16,7 @@ from histospline import (
     DisjointSupportsError,
     Histogram,
     OutOfSupportError,
+    PdfEstimate,
     Samples,
     build_histogram,
     count_turning_points,
@@ -112,6 +113,18 @@ class TestEstimatePdf:
         with pytest.raises(DataError, match="bins"):
             estimate_pdf(Samples(values), BinRule.fixed(2), Boundary.NOT_A_KNOT)
 
+    def test_unknown_boundary_is_a_data_error(self):
+        values = np.array([0.0, 0.3, 1.1, 1.7, 2.0])
+        with pytest.raises(DataError, match="^unknown boundary condition 'bogus'$"):
+            estimate_pdf(Samples(values), BinRule.fixed(3), "bogus")
+
+    def test_mismatched_spline_and_profile_rejected(self):
+        values = np.random.default_rng(36).normal(size=100)
+        three = estimate_pdf(Samples(values), BinRule.fixed(3), "natural")
+        four = estimate_pdf(Samples(values), BinRule.fixed(4), "natural")
+        with pytest.raises(DataError, match="spline knots and profile edges must agree"):
+            PdfEstimate(spline=three.spline, profile=four.profile, rule=three.rule)
+
     @pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
     def test_per_bin_integrals_match_masses(self, boundary):
         rng = np.random.default_rng(17)
@@ -163,6 +176,16 @@ class TestPdfEvaluation:
             est(3.0001)
         with pytest.raises(OutOfSupportError):
             est.cdf(-0.1)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda est: est(np.nan),
+        lambda est: est.cdf([0.0, np.nan]),
+        lambda est: est.spline.derivative(np.nan, 2),
+    ], ids=["density", "cdf", "second-derivative"])
+    def test_nan_is_outside_the_support(self, evaluate):
+        est = estimate_pdf(Samples(np.array([0.0, 1.0, 2.0, 3.0])), BinRule.fixed(3), "natural")
+        with pytest.raises(OutOfSupportError, match=r"evaluation point np.float64\(nan\) outside"):
+            evaluate(est)
 
     def test_cdf_recovers_profile(self):
         rng = np.random.default_rng(40)
@@ -301,6 +324,20 @@ class TestKlDivergence:
         b = estimate_pdf(Samples(np.linspace(5.0, 6.0, 50)), BinRule.fixed(5), "natural")
         with pytest.raises(DataError, match="grid_size"):
             kl_divergence(a, b, grid_size=MAX_GRID_SIZE + 1)
+
+    def test_sizes_must_be_integers(self):
+        est = estimate_pdf(Samples(np.random.default_rng(52).normal(size=500)),
+                           BinRule.sqrt(), "natural")
+        with pytest.raises(DataError, match="grid_size must be an integer, got 1001.0$"):
+            kl_divergence(est, est, 1001.0)
+        with pytest.raises(DataError, match="points must be an integer, got 10.5$"):
+            quadrature_normalization(est, 10.5)
+        with pytest.raises(DataError, match="grid_size must be an integer, got 512.0$"):
+            count_turning_points(est, 512.0)
+        # numpy integers are sizes too
+        assert kl_divergence(est, est, np.int64(1001)) == 0.0
+        assert quadrature_normalization(est, np.int32(10001)) == quadrature_normalization(est)
+        assert count_turning_points(est, np.int64(1001)) == count_turning_points(est)
 
     def test_grid_cap_itself_is_accepted(self):
         est = estimate_pdf(Samples(np.random.default_rng(51).normal(size=500)),

@@ -116,6 +116,31 @@ class TestBinRule:
         assert BinRule.fixed(MAX_BIN_COUNT).fixed_count == MAX_BIN_COUNT
         assert BinRule.knuth(MAX_KNUTH_SEARCH).knuth_search_max == MAX_KNUTH_SEARCH
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: BinRule.fixed(2.5), "fixed bin count must be an integer, got 2.5$"),
+        (lambda: BinRule.fixed(True), "fixed bin count must be an integer, got True$"),
+        (lambda: BinRule("fixed"), "fixed bin count must be an integer, got None$"),
+        (lambda: BinRule.fixed(0), f"fixed bin count must be in 1..{MAX_BIN_COUNT}$"),
+        (lambda: BinRule.knuth("7"), "knuth_search_max must be an integer, got '7'$"),
+        (lambda: BinRule.knuth(7.0), "knuth_search_max must be an integer, got 7.0$"),
+    ], ids=["fractional", "bool", "missing", "zero", "text", "float"])
+    def test_sizes_must_be_integers_in_range(self, make, message):
+        with pytest.raises(DataError, match=message):
+            make()
+
+    def test_numpy_integer_sizes_are_stored_as_int(self):
+        rule = BinRule.fixed(np.int64(7))
+        assert rule == BinRule.fixed(7) and type(rule.fixed_count) is int
+        assert type(BinRule.knuth(np.uint16(50)).knuth_search_max) is int
+
+    @pytest.mark.parametrize("text", ["sqrt", "sturges", "scott", "fd", "knuth", "fixed:5"])
+    def test_parse_checks_the_scan_bound_for_every_rule(self, text):
+        message = f"knuth_search_max must be in 1..{MAX_KNUTH_SEARCH}$"
+        for search_max in (0, MAX_KNUTH_SEARCH + 1):
+            with pytest.raises(DataError, match=message):
+                BinRule.parse(text, knuth_search_max=search_max)
+        assert BinRule.parse(text, knuth_search_max=50).knuth_search_max == 50
+
     def test_knuth_search_above_its_cap_is_rejected(self):
         # the cap bounds the scan's time, so it is below the bin-count cap
         message = f"knuth_search_max must be in 1..{MAX_KNUTH_SEARCH}$"
@@ -267,11 +292,17 @@ class TestKnuthLogPosterior:
         ([], 1, "non-empty 1-d"),
         ([[1, 2]], 3, "non-empty 1-d"),
         ([3, -1], 2, "nonnegative"),
-        ([0, 0], 0, "total must be a positive integer"),
+        ([0, 0], 0, "total must be >= 1"),
+        ([1, 2], 3.5, "total must be an integer, got 3.5"),
+        ([1, 2], 3.0, "total must be an integer, got 3.0"),
+        ([1, 0], True, "total must be an integer, got True"),
     ])
     def test_bad_inputs(self, counts, total, message):
         with pytest.raises(DataError, match=message):
             knuth_log_posterior(counts, total)
+
+    def test_numpy_integer_total(self):
+        assert knuth_log_posterior([1, 2], np.int64(3)) == knuth_log_posterior([1, 2], 3)
 
     def test_matches_scipy_gammaln(self):
         rng = np.random.default_rng(12)
@@ -516,6 +547,16 @@ class TestBuildHistogram:
         with pytest.raises(DataError, match="bin_count"):
             build_histogram(uniform_samples([0.0, 1.0]), 0)
 
+    @pytest.mark.parametrize("bin_count", [2.7, 3.0, True, "3", None])
+    def test_bin_count_must_be_an_integer(self, bin_count):
+        with pytest.raises(DataError, match="bin_count must be an integer, got"):
+            build_histogram(uniform_samples([0.0, 1.0, 2.0]), bin_count)
+
+    def test_numpy_integer_bin_count(self):
+        s = uniform_samples([0.0, 0.5, 1.0, 2.0])
+        assert np.array_equal(build_histogram(s, np.int32(3)).heights,
+                              build_histogram(s, 3).heights)
+
     def test_subnormal_range_bin_density_overflow(self):
         # one bin 2.2e-313 wide must hold density 1 / 2.2e-313 = inf
         with pytest.raises(DataError, match="bin density overflows"):
@@ -535,6 +576,24 @@ class TestBuildHistogram:
     def test_malformed_histogram_rejected(self, edges, heights, message):
         with pytest.raises(DataError, match=message):
             Histogram(edges=np.array(edges), heights=np.array(heights))
+
+
+@pytest.mark.parametrize("value, lo, hi, message", [
+    (0, 1, None, "n must be >= 1$"),
+    (5, 1, 4, "n must be in 1..4$"),
+    (False, 0, None, "n must be an integer, got False$"),
+    (np.float64(2.0), 1, None, r"n must be an integer, got np.float64\(2.0\)$"),
+    (np.bool_(True), 0, None, "n must be an integer, got "),
+])
+def test_size_rule_rejects(value, lo, hi, message):
+    with pytest.raises(DataError, match=message):
+        histogram_module._size(value, "n", lo, hi)
+
+
+@pytest.mark.parametrize("value", [1, 4, np.int8(4), np.uint64(1), np.int64(2)])
+def test_size_rule_returns_a_python_int(value):
+    size = histogram_module._size(value, "n", 1, 4)
+    assert size == value and type(size) is int
 
 
 @given(

@@ -282,6 +282,35 @@ class TestFitInterpolatingSpline:
         with pytest.raises(DataError, match="not-a-knot"):
             fit_interpolating_spline([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], Boundary.NOT_A_KNOT)
 
+    def test_not_a_knot_names_its_minimum(self):
+        message = r"^not-a-knot needs at least 4 knots \(3 bins\), got 3$"
+        with pytest.raises(DataError, match=message):
+            fit_interpolating_spline([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], Boundary.NOT_A_KNOT)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ordinates(self, bad):
+        with pytest.raises(DataError, match="x and F must be finite"):
+            fit_interpolating_spline([0.0, 1.0, 2.0], [0.0, bad, 1.0], Boundary.NATURAL)
+
+    def test_unknown_boundary_is_a_data_error(self):
+        message = "^unknown boundary condition 'bogus'$"
+        with pytest.raises(DataError, match=message):
+            Boundary("bogus")
+        with pytest.raises(DataError, match=message):
+            fit_interpolating_spline([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], "bogus")
+        with pytest.raises(DataError, match=message):
+            CubicSplineModel(knots=np.array([0.0, 1.0]), coefficients=np.zeros((1, 4)),
+                             boundary="bogus")
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_natural_end_moments_are_exact_positive_zeros(self, seed):
+        rng = np.random.default_rng(seed)
+        h = rng.uniform(0.1, 2.0, size=int(rng.integers(1, 12)))
+        slopes = rng.normal(size=h.size)
+        moments = spline._solve_moments(h, slopes, Boundary.NATURAL)
+        assert moments.size == h.size + 1
+        assert not np.signbit(moments[[0, -1]]).any() and not moments[[0, -1]].any()
+
     def test_non_monotone_knots(self):
         with pytest.raises(DataError, match="increasing"):
             fit_interpolating_spline([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], Boundary.NATURAL)
