@@ -343,6 +343,13 @@ def cmd_estimate(config: RunConfig) -> int:
     rule = config.bin_rule()
     hist = build_histogram(samples, select_bin_count(samples, rule))
     estimate = estimate_from_histogram(hist, rule, config.bc)
+    lo, hi = estimate.support
+    u = np.linspace(lo, hi, config.grid)
+    # compare reads curve.csv back and needs a strictly increasing grid
+    if np.any(np.diff(u) <= 0.0):
+        raise DataError(
+            f"the support [{lo!r}, {hi!r}] is too narrow for {config.grid} distinct grid points"
+        )
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -353,8 +360,6 @@ def cmd_estimate(config: RunConfig) -> int:
                  for left, right, height in zip(edges, edges[1:], hist.heights.tolist())])
     ])
 
-    lo, hi = estimate.support
-    u = np.linspace(lo, hi, config.grid)
     _write_csv(out_dir / "curve.csv", "u,pdf", [
         "".join([f"{ui!r},{pi!r}\n" for ui, pi in zip(u.tolist(), estimate(u).tolist())])
     ])

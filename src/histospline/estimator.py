@@ -12,6 +12,7 @@ would break both the per-bin identity and the normalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +104,7 @@ class PdfEstimate:
     rule: BinRule
 
     def __post_init__(self):
-        if self.spline.knots.size != self.profile.x.size:
+        if not np.array_equal(self.spline.knots, self.profile.x):
             raise DataError("spline knots and profile edges must agree")
 
     @property
@@ -170,6 +171,7 @@ def estimate_pdf(samples: Samples, rule: BinRule, boundary: Boundary | str) -> P
     estimate over ``[min(values), max(values)]``.  Deterministic: equal
     inputs give bit-identical estimates.
     """
+    boundary = Boundary(boundary)
     bins = select_bin_count(samples, rule)
     hist = build_histogram(samples, bins)
     return estimate_from_histogram(hist, rule, boundary)
@@ -233,16 +235,23 @@ def quadrature_normalization(est: PdfEstimate, points: int = 10001) -> float:
     m = points - 2 if points % 2 else points - 3
     h0, h1 = h[0:m:2], h[1:m + 1:2]
     hsum, ratio = h0 + h1, _divide(h0, h1)
+    # Products of spacings are formed from the spacings g scaled by a power
+    # of two.  The scaling is exact, so they cannot overflow near the float
+    # limit, and every result that does not overflow unscaled keeps its bits.
+    scale = math.frexp(hi - lo)[1]
+    g = np.ldexp(h, -scale)
+    g0, g1 = g[0:m:2], g[1:m + 1:2]
+    gsum = g0 + g1
     total = np.sum(hsum / 6.0 * (
         y[0:m:2] * (2.0 - _divide(1.0, ratio))
-        + y[1:m + 1:2] * (hsum * _divide(hsum, h0 * h1))
+        + y[1:m + 1:2] * (gsum * _divide(gsum, g0 * g1))
         + y[2:m + 2:2] * (2.0 - ratio)
     ))
     if points % 2 == 0:
-        a, b = h[-2], h[-1]
-        total += (_divide(2 * b**2 + 3 * a * b, 6 * (b + a)) * y[-1]
-                  + _divide(b**2 + 3.0 * a * b, 6 * a) * y[-2]
-                  - _divide(1 * b**3, 6 * a * (a + b)) * y[-3])
+        a, b = g[-2], g[-1]
+        total += (np.ldexp(_divide(2 * b**2 + 3 * a * b, 6 * (b + a)), scale) * y[-1]
+                  + np.ldexp(_divide(b**2 + 3.0 * a * b, 6 * a), scale) * y[-2]
+                  - np.ldexp(_divide(1 * b**3, 6 * a * (a + b)), scale) * y[-3])
     return float(total)
 
 

@@ -246,7 +246,7 @@ def select_bin_count(samples: Samples, rule: BinRule) -> int:
     DataError
         If the data has zero range (for the data-dependent rules), zero
         interquartile range (for ``fd``), or a ``scott`` or ``fd`` count
-        above ``MAX_BIN_COUNT``.
+        above ``MAX_BIN_COUNT`` or width that overflows the float range.
     """
     values = samples.values
     n = values.size
@@ -261,7 +261,9 @@ def select_bin_count(samples: Samples, rule: BinRule) -> int:
     if hi == lo:
         raise DataError("all samples are equal; data range is zero")
     if rule.tag == "scott":
-        sigma = float(np.std(values))
+        # the squared deviations can overflow; the width check below names it
+        with np.errstate(over="ignore"):
+            sigma = float(np.std(values))
         if sigma == 0.0:
             raise DataError("zero standard deviation; Scott's rule is undefined")
         width = 3.49 * sigma * n ** (-1.0 / 3.0)
@@ -273,6 +275,11 @@ def select_bin_count(samples: Samples, rule: BinRule) -> int:
         width = 2.0 * iqr * n ** (-1.0 / 3.0)
     else:
         return _knuth_scan(values, rule.knuth_search_max)
+    if width == math.inf:
+        raise DataError(
+            f"the {rule.tag} rule's bin width overflows the float range; the data spread "
+            f"{hi - lo!r} is too close to the largest float"
+        )
     # the ratio can overflow, and the width underflow to 0, on extreme spreads
     bins = (hi - lo) / width if width > 0.0 else math.inf
     if not bins <= MAX_BIN_COUNT:
@@ -308,14 +315,12 @@ def knuth_log_posterior(counts, total: int) -> float:
 def _knuth_formula(b: int, total: int, lgamma_terms) -> float:
     # the posterior from its per-bin terms lgamma(n_k + 1/2); fsum rounds
     # once, so the order of the terms is irrelevant
-    n = float(total)
-    return (
-        n * math.log(b)
-        + math.lgamma(b / 2.0)
-        - b * math.lgamma(0.5)
-        - math.lgamma(n + b / 2.0)
-        + math.fsum(lgamma_terms)
-    )
+    return _knuth_head(b, float(total)) + math.fsum(lgamma_terms)
+
+
+def _knuth_head(b: int, n: float) -> float:
+    # the posterior without its per-bin terms, from the bin count alone
+    return n * math.log(b) + math.lgamma(b / 2.0) - b * math.lgamma(0.5) - math.lgamma(n + b / 2.0)
 
 
 # Bound on the left edges the Knuth scan materializes at once.
@@ -326,18 +331,45 @@ def _knuth_scan(values: np.ndarray, search_max: int) -> int:
     """Argmax of the posterior over ``B = 1..search_max``; ties go to the
     smallest ``B``.
 
-    The bin counts of many ``B`` are found at once: their left edges are
-    laid end to end in chunks of at most ``KNUTH_SCAN_CHUNK`` edges (or
-    the edges of one larger ``B``), each chunk takes one ``searchsorted``,
-    and ``lgamma`` runs on its distinct counts only.  Edges and counts
-    are those of ``np.linspace(lo, hi, B + 1)`` and ``np.histogram``, bit
-    for bit.
+    Every ``B`` is scored in numpy, within a rounding bound of its exact
+    posterior; only the ``B`` whose bound reaches the best posterior seen
+    are summed again exactly, with :func:`_knuth_formula`, in increasing
+    order.  The argmax is therefore that of an exact per-``B`` scan.
+    """
+    n = values.size
+    best_b, best_lp = 1, -math.inf
+    for bs, starts, counts, approx, err in _knuth_chunks(values, search_max):
+        # a B whose upper bound is below another B's lower bound, or below
+        # an exact posterior already found, is neither the argmax nor tied
+        # with it
+        floor = max(best_lp, float(np.max(approx - err)))
+        for i in np.flatnonzero(approx + err >= floor).tolist():
+            b, start = int(bs[i]), int(starts[i])
+            lp = _knuth_formula(b, n, map(math.lgamma, (counts[start:start + b] + 0.5).tolist()))
+            if lp > best_lp:
+                best_b, best_lp = b, lp
+    return best_b
+
+
+def _knuth_chunks(values: np.ndarray, search_max: int):
+    """Score ``B = 1..search_max`` in chunks of consecutive ``B``.
+
+    Yields ``(bs, starts, counts, approx, err)`` per chunk: ``counts``
+    holds the bin counts of every ``B`` in ``bs`` end to end, those of
+    ``B = bs[i]`` at ``starts[i]``, and the exact posterior
+    ``knuth_log_posterior(counts[start:start + B], n)`` lies within
+    ``approx[i] ± err[i]``.
+
+    The left edges of a chunk are laid end to end, at most
+    ``KNUTH_SCAN_CHUNK`` of them (or the edges of one larger ``B``); each
+    chunk takes one ``searchsorted``, and ``lgamma`` runs on its distinct
+    counts only.  Edges and counts are those of
+    ``np.linspace(lo, hi, B + 1)`` and ``np.histogram``, bit for bit.
     """
     sorted_values = np.sort(values)
     lo, hi = sorted_values[0], sorted_values[-1]
     n = sorted_values.size
     delta = hi - lo
-    best_b, best_lp = 1, -math.inf
     first = 1
     while first <= search_max:
         last = first
@@ -360,13 +392,16 @@ def _knuth_scan(values: np.ndarray, search_max: int) -> int:
         counts[ends] = n - positions[ends]
         distinct, inverse = np.unique(counts, return_inverse=True)
         lgammas = np.array(list(map(math.lgamma, (distinct + 0.5).tolist())))
-        terms = lgammas[inverse].tolist()
-        for b, start in zip(bs.tolist(), starts.tolist()):
-            lp = _knuth_formula(b, n, terms[start:start + b])
-            if lp > best_lp:
-                best_b, best_lp = b, lp
+        terms = lgammas[inverse]
+        head = np.array([_knuth_head(b, float(n)) for b in bs.tolist()])
+        approx = head + np.add.reduceat(terms, starts)
+        # reduceat's B - 1 additions in any order, fsum's rounding and the
+        # two additions of the head: (B + 8) eps times the magnitudes
+        # involved bounds them all
+        magnitude = np.add.reduceat(np.abs(terms), starts) + np.abs(head) + np.abs(approx) + 1.0
+        err = (bs + 8) * np.finfo(float).eps * magnitude
+        yield bs, starts, counts, approx, err
         first = last + 1
-    return best_b
 
 
 def build_histogram(samples: Samples, bin_count: int) -> Histogram:
@@ -407,11 +442,12 @@ def _bin_masses(values: np.ndarray, weights: np.ndarray, edges: np.ndarray) -> n
     # weights=weights) operation for operation, per block the cumulative
     # weights at the sorted block's edge positions, summed over blocks and
     # differenced.  Equal weights have the same cumulative sums in any
-    # order, so only the block's values are sorted.
+    # order, so only the block's values are sorted, and as cumsum
+    # accumulates in order, every block's are a prefix of the first's.
+    cumulative_weights = np.concatenate(([0.0], weights[:HISTOGRAM_BLOCK].cumsum()))
     cumulative = np.zeros(edges.size)
     for i in range(0, values.size, HISTOGRAM_BLOCK):
         block = np.sort(values[i:i + HISTOGRAM_BLOCK])
-        cumulative_weights = np.concatenate(([0.0], weights[i:i + HISTOGRAM_BLOCK].cumsum()))
         positions = np.concatenate((
             block.searchsorted(edges[:-1], side="left"),
             block.searchsorted(edges[-1:], side="right"),

@@ -409,6 +409,38 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert "overflows" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("rule", ["fd", "sqrt", "knuth", "scott"])
+    def test_spread_near_the_float_limit(self, tmp_path, capsys, rule):
+        # squared spacings and deviations of these samples overflow
+        path = tmp_path / "huge.csv"
+        path.write_text("x\n1e308\n1.7e308\n1.5e308\n1.2e308\n")
+        out = tmp_path / "out"
+        code = main(["estimate", "--input", str(path), "--rule", rule, "--bc", "natural",
+                     "--out-dir", str(out)])
+        if rule == "scott":
+            assert code == 2
+            assert capsys.readouterr().err.startswith(
+                "error: the scott rule's bin width overflows the float range")
+            assert not out.exists()
+        else:
+            assert code == 0
+            summary = read_summary(out / "summary.jsonl")
+            assert summary["normalization_simpson"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_support_too_narrow_for_the_grid_is_a_data_error(self, tmp_path, capsys):
+        # a support a few ulps wide holds fewer than --grid distinct points,
+        # so compare would reject the curve.csv written on it
+        path = tmp_path / "narrow.csv"
+        path.write_text("x\n52.49195437421315\n52.491954374213165\n52.49195437421317\n"
+                        "52.491954374213186\n")
+        out = tmp_path / "out"
+        assert main(["estimate", "--input", str(path), "--rule", "sturges", "--bc", "not-a-knot",
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: the support [52.49195437421315, 52.491954374213186] is too narrow "
+                       "for 1001 distinct grid points\n")
+        assert not out.exists()
+
     def test_non_finite_spline_is_a_numeric_error(self, tmp_path, capsys):
         # three bins 1e-300 wide: the fitted slopes overflow the float range
         path = tmp_path / "tiny.csv"

@@ -29,6 +29,7 @@ from histospline import (
     quadrature_normalization,
     select_bin_count,
 )
+import histospline.estimator as estimator_module
 from histospline.estimator import MAX_GRID_SIZE
 
 ALL_BOUNDARIES = (Boundary.CLAMPED, Boundary.NATURAL, Boundary.NOT_A_KNOT)
@@ -125,6 +126,20 @@ class TestEstimatePdf:
         with pytest.raises(DataError, match="spline knots and profile edges must agree"):
             PdfEstimate(spline=three.spline, profile=four.profile, rule=three.rule)
 
+    def test_spline_and_profile_over_different_supports_rejected(self):
+        a = estimate_pdf(Samples(np.linspace(0.0, 1.0, 50)), BinRule.fixed(3), "natural")
+        b = estimate_pdf(Samples(np.linspace(5.0, 9.0, 50)), BinRule.fixed(3), "natural")
+        with pytest.raises(DataError, match="spline knots and profile edges must agree"):
+            PdfEstimate(spline=a.spline, profile=b.profile, rule=a.rule)
+
+    def test_unknown_boundary_is_rejected_before_the_scan(self, monkeypatch):
+        def scan(*args):
+            raise AssertionError("the bin count was selected")
+
+        monkeypatch.setattr(estimator_module, "select_bin_count", scan)
+        with pytest.raises(DataError, match="^unknown boundary condition 'bogus'$"):
+            estimate_pdf(Samples(np.array([0.0, 0.3, 1.1])), BinRule.knuth(), "bogus")
+
     @pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
     def test_per_bin_integrals_match_masses(self, boundary):
         rng = np.random.default_rng(17)
@@ -208,6 +223,13 @@ class TestPdfEvaluation:
             assert got == expected
         else:  # Cartwright's last-interval correction
             assert abs(got - expected) <= 4 * math.ulp(expected)
+
+    @pytest.mark.parametrize("points", [10_001, 10_002])
+    def test_simpson_near_the_float_limit(self, points):
+        # the products of neighbouring spacings, about 5e607, overflow
+        values = np.array([1e308, 1.7e308, 1.5e308, 1.2e308])
+        est = estimate_pdf(Samples(values), BinRule.fixed(2), "natural")
+        assert quadrature_normalization(est, points=points) == pytest.approx(1.0, abs=1e-12)
 
     def test_simpson_needs_two_points(self):
         est = estimate_pdf(Samples(np.array([0.0, 1.0, 2.0])), BinRule.fixed(3), "natural")

@@ -225,6 +225,16 @@ class TestSelectBinCount:
         with pytest.raises(DataError, match="limit"):
             select_bin_count(uniform_samples(values), BinRule.freedman_diaconis())
 
+    @pytest.mark.parametrize("rule, values", [
+        ("scott", [1e308, 1.7e308, 1.5e308, 1.2e308]),
+        ("fd", [-5e307] * 4 + [5e307] * 4),
+    ])
+    def test_width_overflow_is_a_data_error(self, rule, values):
+        # the standard deviation, or twice the IQR, overflows: the width is
+        # inf and the bin count would be 0
+        with pytest.raises(DataError, match=f"^the {rule} rule's bin width overflows"):
+            select_bin_count(uniform_samples(values), BinRule.parse(rule))
+
     def test_fd_heavy_tail_below_the_cap(self):
         values = np.random.default_rng(0).standard_cauchy(10_000)
         assert select_bin_count(uniform_samples(values), BinRule.freedman_diaconis()) == 48_858
@@ -381,19 +391,24 @@ def per_step_knuth_scan(values, search_max):
     return best + 1, log_posteriors
 
 
-def batched_knuth_scan(values, search_max, monkeypatch):
-    """The package's scan, with the log-posterior of each B it evaluates."""
-    log_posteriors = []
-    formula = histogram_module._knuth_formula
+def scanned_posteriors(values, search_max):
+    """Per B of the package's scan, in order of B: the exact posterior from
+    the scan's own bin counts, and the interval the scan scores it in."""
+    exact, lower, upper = [], [], []
+    for bs, starts, counts, approx, err in histogram_module._knuth_chunks(values, search_max):
+        for b, start, a, e in zip(bs.tolist(), starts.tolist(), approx.tolist(), err.tolist()):
+            exact.append(knuth_log_posterior(counts[start:start + b], values.size))
+            lower.append(a - e)
+            upper.append(a + e)
+    return exact, lower, upper
 
-    def recording(b, total, terms):
-        log_posteriors.append(formula(b, total, terms))
-        return log_posteriors[-1]
 
-    with monkeypatch.context() as patch:
-        patch.setattr(histogram_module, "_knuth_formula", recording)
-        best = select_bin_count(uniform_samples(values), BinRule.knuth(search_max))
-    return best, log_posteriors
+def assert_scan_matches_per_step_scan(values, search_max):
+    expected_b, expected = per_step_knuth_scan(values, search_max)
+    exact, lower, upper = scanned_posteriors(values, search_max)
+    assert exact == expected
+    assert all(lo <= lp <= hi for lo, lp, hi in zip(lower, exact, upper))
+    assert select_bin_count(uniform_samples(values), BinRule.knuth(search_max)) == expected_b
 
 
 def scan_vector(kind):
@@ -422,22 +437,62 @@ SCAN_KINDS = ["normal", "bimodal", "lognormal", "cauchy", "braking", "integers",
 
 class TestBatchedKnuthScan:
     @pytest.mark.parametrize("kind", SCAN_KINDS)
-    def test_same_bits_as_the_per_step_scan(self, kind, monkeypatch):
-        values = scan_vector(kind)
-        expected_b, expected = per_step_knuth_scan(values, 200)
-        b, log_posteriors = batched_knuth_scan(values, 200, monkeypatch)
-        assert b == expected_b
-        assert log_posteriors == expected
+    def test_same_bits_as_the_per_step_scan(self, kind):
+        assert_scan_matches_per_step_scan(scan_vector(kind), 200)
 
     @pytest.mark.parametrize("chunk", [1, 7])
     @pytest.mark.parametrize("kind", ["normal", "cauchy", "integers", "subnormal"])
     def test_chunk_size_does_not_change_the_result(self, kind, chunk, monkeypatch):
-        values = scan_vector(kind)
-        expected_b, expected = per_step_knuth_scan(values, 60)
         monkeypatch.setattr(histogram_module, "KNUTH_SCAN_CHUNK", chunk)
-        b, log_posteriors = batched_knuth_scan(values, 60, monkeypatch)
-        assert b == expected_b
-        assert log_posteriors == expected
+        assert_scan_matches_per_step_scan(scan_vector(kind), 60)
+
+    @pytest.mark.parametrize("values, expected_b", [
+        # B = 1 and B = 4 tie exactly: the smaller B wins
+        pytest.param([0, 1, 5], 1, id="exact-tie"),
+        # B = 12 beats B = 3 by about 4e-15
+        pytest.param([0, 0, 4, 1], 12, id="tie-within-4e-15"),
+    ])
+    @pytest.mark.parametrize("chunk", [1, 1 << 16])
+    def test_near_ties(self, values, expected_b, chunk, monkeypatch):
+        monkeypatch.setattr(histogram_module, "KNUTH_SCAN_CHUNK", chunk)
+        values = np.array(values, dtype=float)
+        assert per_step_knuth_scan(values, 12)[0] == expected_b
+        assert_scan_matches_per_step_scan(values, 12)
+
+    @pytest.mark.parametrize("kind", ["normal", "cauchy", "integers"])
+    def test_only_contenders_are_summed_again(self, kind, monkeypatch):
+        # one B per chunk: the scan sums a B again exactly only when its
+        # upper bound reaches the best exact posterior of the smaller B
+        values = scan_vector(kind)
+        _, expected = per_step_knuth_scan(values, 60)
+        monkeypatch.setattr(histogram_module, "KNUTH_SCAN_CHUNK", 1)
+        _, _, upper = scanned_posteriors(values, 60)
+        contenders = [b for b in range(1, 61)
+                      if upper[b - 1] >= max(expected[:b - 1], default=-math.inf)]
+        summed = []
+        formula = histogram_module._knuth_formula
+
+        def recording(b, total, terms):
+            summed.append(b)
+            return formula(b, total, terms)
+
+        monkeypatch.setattr(histogram_module, "_knuth_formula", recording)
+        select_bin_count(uniform_samples(values), BinRule.knuth(60))
+        assert summed == contenders
+        assert len(contenders) < 60
+
+    def test_wide_scan_argmax(self):
+        # knuth-mixed vectors of seed 1; under the default bound of 200 the
+        # last two pick the bound itself
+        rng = np.random.default_rng(1)
+        normal = rng.normal(size=1_000)
+        for size in (10_000, 100_000, 50_000, 50_000):
+            rng.normal(size=size)
+        vectors = {"normal-1e3": (normal, 16), "lognormal-1e5": (rng.lognormal(size=100_000), 514),
+                   "cauchy-1e4": (rng.standard_cauchy(10_000), 1992)}
+        for values, expected_b in vectors.values():
+            assert per_step_knuth_scan(values, 2000)[0] == expected_b
+            assert select_bin_count(uniform_samples(values), BinRule.knuth(2000)) == expected_b
 
     def test_wide_scan_memory_is_bounded_by_the_chunk(self):
         # 500,500 edges: about 49 MB traced when scanned in one piece
