@@ -309,13 +309,9 @@ def knuth_log_posterior(counts, total: int) -> float:
     total = _size(total, "total", 1)
     if int(counts.sum()) != total:
         raise DataError(f"counts sum to {int(counts.sum())}, expected total {total}")
-    return _knuth_formula(counts.size, total, map(math.lgamma, (counts + 0.5).tolist()))
-
-
-def _knuth_formula(b: int, total: int, lgamma_terms) -> float:
-    # the posterior from its per-bin terms lgamma(n_k + 1/2); fsum rounds
-    # once, so the order of the terms is irrelevant
-    return _knuth_head(b, float(total)) + math.fsum(lgamma_terms)
+    # fsum rounds once, so the order of the per-bin terms is irrelevant
+    return _knuth_head(counts.size, float(total)) + math.fsum(
+        map(math.lgamma, (counts + 0.5).tolist()))
 
 
 def _knuth_head(b: int, n: float) -> float:
@@ -333,7 +329,7 @@ def _knuth_scan(values: np.ndarray, search_max: int) -> int:
 
     Every ``B`` is scored in numpy, within a rounding bound of its exact
     posterior; only the ``B`` whose bound reaches the best posterior seen
-    are summed again exactly, with :func:`_knuth_formula`, in increasing
+    are summed again, by :func:`knuth_log_posterior`, in increasing
     order.  The argmax is therefore that of an exact per-``B`` scan.
     """
     n = values.size
@@ -345,7 +341,7 @@ def _knuth_scan(values: np.ndarray, search_max: int) -> int:
         floor = max(best_lp, float(np.max(approx - err)))
         for i in np.flatnonzero(approx + err >= floor).tolist():
             b, start = int(bs[i]), int(starts[i])
-            lp = _knuth_formula(b, n, map(math.lgamma, (counts[start:start + b] + 0.5).tolist()))
+            lp = knuth_log_posterior(counts[start:start + b], n)
             if lp > best_lp:
                 best_b, best_lp = b, lp
     return best_b
@@ -411,19 +407,18 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
     uniform bins.  Each sample contributes its weight to exactly one bin
     (half-open bins, last bin closed so the maximum is counted); heights
     are the bin masses divided by total mass and bin width.  Raises
-    :class:`DataError` when a bin is so narrow that its height overflows.
+    :class:`DataError` when a height is not finite: its bin is too narrow,
+    or of zero width, as on a zero range or one a few ulps wide.
     """
     bin_count = _size(bin_count, "bin_count", 1, MAX_BIN_COUNT)
     values, weights = samples.values, samples.weights
     lo, hi = float(values.min()), float(values.max())
-    if hi == lo:
-        raise DataError("all samples are equal; cannot histogram a zero range")
     edges = np.linspace(lo, hi, bin_count + 1)
     masses = _bin_masses(values, weights, edges)
     total = masses.sum()
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         heights = masses / (total * np.diff(edges))
-    if np.isinf(heights).any():
+    if not np.isfinite(heights).all():
         raise DataError(
             f"bin density overflows: {bin_count} bins over a range of {hi - lo!r} "
             "give bin widths too narrow for a finite height"

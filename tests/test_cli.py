@@ -452,6 +452,20 @@ class TestEstimate:
         assert err.startswith("error: spline coefficients are not finite for boundary not-a-knot")
         assert not out.exists()
 
+    @pytest.mark.parametrize("rule", ["sturges", "knuth", "fixed:3"])
+    def test_zero_width_bins_are_a_data_error(self, tmp_path, capsys, rule):
+        # np.linspace over a range of 5e-324 repeats an edge: a bin of width 0
+        path = tmp_path / "ulp.csv"
+        path.write_text("x\n0\n5e-324\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--input", str(path), "--rule", rule,
+                         "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bin density overflows: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         assert main([
             "estimate", "--input", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)

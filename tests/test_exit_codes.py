@@ -1,0 +1,87 @@
+"""The CLI's exit-code contract as a property of ``estimate --input``.
+
+On any column, under every bin rule and boundary, ``estimate`` either
+succeeds (exit 0, no numpy warning, and ``compare`` accepts the curve it
+wrote) or fails with a typed error: exit 1 (usage), 2 (data) or 3
+(numeric), one ``error:`` line on stderr and no traceback.
+
+The columns are drawn where floats misbehave: a few ulps wide, subnormal,
+tiny and huge magnitudes, and heavy tails.  The paper's per-bin identity
+(each bin's mean density equals its height, relative 1e-10) is left out:
+fits on supports as wide as 1e104 and beyond still break it without an
+error, a spline fault tracked on its own.
+"""
+
+import contextlib
+import io
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from histospline.cli import main
+
+RULES = ("sqrt", "sturges", "scott", "fd", "knuth", "fixed:3", "fixed:40")
+BOUNDARIES = ("natural", "clamped", "not-a-knot")
+
+
+@st.composite
+def columns(draw):
+    """2-200 finite floats of one extreme kind, as a list of Python floats."""
+    n = draw(st.integers(2, 200))
+    kind = draw(st.sampled_from(["ulp-wide", "subnormal", "tiny", "huge", "heavy-tailed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ulp-wide":
+        # up to 8 ulps above a positive base of any magnitude
+        base = draw(st.floats(1e-300, 1e300))
+        steps = rng.integers(0, draw(st.integers(1, 8)), size=n, endpoint=True)
+        values = (np.array(base).view(np.int64) + steps).view(np.float64)
+    elif kind == "subnormal":
+        values = rng.integers(0, draw(st.integers(1, 1 << 20)), size=n, endpoint=True) * 5e-324
+    elif kind == "heavy-tailed":
+        # a far draw times a huge scale overflows; inf is dropped below
+        with np.errstate(over="ignore"):
+            values = rng.standard_cauchy(n) * 10.0 ** draw(st.floats(-300.0, 300.0))
+    else:
+        # huge magnitudes of both signs can spread beyond the float range
+        low, high = (-320.0, -80.0) if kind == "tiny" else (80.0, 308.25)
+        values = 10.0 ** rng.uniform(low, high, size=n) * rng.choice([-1.0, 1.0], size=n)
+    values = values[np.isfinite(values)]
+    if draw(st.booleans()):
+        values = -values
+    return values.tolist()
+
+
+def run(argv):
+    """``main(argv)`` with numpy warnings raised as errors: its exit code,
+    stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("rule", RULES)
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(values=columns())
+def test_estimate_exits_with_a_result_or_one_typed_error(rule, boundary, values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "column.csv", Path(tmp) / "out"
+        path.write_text("x\n" + "".join(f"{v!r}\n" for v in values))
+        code, _, err = run(["estimate", "--input", str(path), "--rule", rule,
+                            "--bc", boundary, "--out-dir", str(out)])
+        if code == 0:
+            assert err == ""
+            curve = str(out / "curve.csv")
+            assert run(["compare", curve, curve])[0] == 0
+        else:
+            assert code in (1, 2, 3)
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err

@@ -470,13 +470,13 @@ class TestBatchedKnuthScan:
         contenders = [b for b in range(1, 61)
                       if upper[b - 1] >= max(expected[:b - 1], default=-math.inf)]
         summed = []
-        formula = histogram_module._knuth_formula
+        posterior = histogram_module.knuth_log_posterior
 
-        def recording(b, total, terms):
-            summed.append(b)
-            return formula(b, total, terms)
+        def recording(counts, total):
+            summed.append(len(counts))
+            return posterior(counts, total)
 
-        monkeypatch.setattr(histogram_module, "_knuth_formula", recording)
+        monkeypatch.setattr(histogram_module, "knuth_log_posterior", recording)
         select_bin_count(uniform_samples(values), BinRule.knuth(60))
         assert summed == contenders
         assert len(contenders) < 60
@@ -547,6 +547,7 @@ class TestBuildHistogram:
         rng = np.random.default_rng(9)
         values = rng.normal(size=100)
         hist = build_histogram(uniform_samples(values), 7)
+        assert hist.bin_count == hist.heights.size == 7
         assert hist.edges[0] == values.min()
         assert hist.edges[-1] == values.max()
         assert np.allclose(np.diff(hist.widths), 0.0, atol=1e-12)
@@ -597,6 +598,11 @@ class TestBuildHistogram:
     def test_zero_range(self):
         with pytest.raises(DataError, match="range"):
             build_histogram(uniform_samples([4.0, 4.0, 4.0]), 3)
+
+    def test_zero_range_with_unequal_weights(self):
+        # the np.histogram path of the masses meets the same height guard
+        with pytest.raises(DataError, match="bin density overflows: 3 bins over a range of 0.0"):
+            build_histogram(Samples([4.0, 4.0, 4.0], weights=[1.0, 2.0, 3.0]), 3)
 
     def test_bad_bin_count(self):
         with pytest.raises(DataError, match="bin_count"):
