@@ -9,8 +9,10 @@ only enter the histogram masses.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +64,9 @@ class Samples:
     Weights default to the uniform ``1/N`` scheme.  They must be
     nonnegative with a positive sum; normalization to unit total mass
     happens at histogram construction time, so only relative weights
-    matter.  Values must be finite with a finite spread ``max - min``,
-    which every bin rule and the histogram edges are built from.
+    matter.  Values must be finite, not all equal, with a finite spread
+    ``max - min``, which every bin rule and the histogram edges are built
+    from.
     """
 
     values: np.ndarray
@@ -76,6 +79,8 @@ class Samples:
         if not np.all(np.isfinite(values)):
             raise DataError("sample values must all be finite")
         lo, hi = float(values.min()), float(values.max())
+        if hi == lo:
+            raise DataError("all samples are equal; data range is zero")
         if not math.isfinite(hi - lo):
             raise DataError(
                 f"sample spread max - min overflows the float range (min {lo!r}, max {hi!r})"
@@ -244,9 +249,10 @@ def select_bin_count(samples: Samples, rule: BinRule) -> int:
     Raises
     ------
     DataError
-        If the data has zero range (for the data-dependent rules), zero
+        If the data has zero standard deviation (for ``scott``), zero
         interquartile range (for ``fd``), or a ``scott`` or ``fd`` count
         above ``MAX_BIN_COUNT`` or width that overflows the float range.
+        A zero range never reaches a rule: :class:`Samples` rejects it.
     """
     values = samples.values
     n = values.size
@@ -258,8 +264,6 @@ def select_bin_count(samples: Samples, rule: BinRule) -> int:
         return rule.fixed_count
 
     lo, hi = float(values.min()), float(values.max())
-    if hi == lo:
-        raise DataError("all samples are equal; data range is zero")
     if rule.tag == "scott":
         # the squared deviations can overflow; the width check below names it
         with np.errstate(over="ignore"):
@@ -361,35 +365,37 @@ def _knuth_chunks(values: np.ndarray, search_max: int):
     chunk takes one ``searchsorted``, and ``lgamma`` runs on its distinct
     counts only.  Edges and counts are those of
     ``np.linspace(lo, hi, B + 1)`` and ``np.histogram``, bit for bit.
+    The first chunk, the whole scan at the default bound, searches its
+    edges in increasing ``k / B``, so each search starts where the last
+    one ended; its layout is built once per process (see
+    :func:`_first_chunk_layout`).
     """
     sorted_values = np.sort(values)
     lo, hi = sorted_values[0], sorted_values[-1]
     n = sorted_values.size
     delta = hi - lo
-    first = 1
-    while first <= search_max:
-        last = first
-        size = first
-        while last < search_max and size + last + 1 <= KNUTH_SCAN_CHUNK:
-            last += 1
-            size += last
-        bs = np.arange(first, last + 1)
-        starts = np.cumsum(bs) - bs
-        k = (np.arange(size) - np.repeat(starts, bs)).astype(float)
-        b_of_edge = np.repeat(bs, bs)
+    for first, last in _chunk_bounds(search_max):
+        layout = _first_chunk_layout(last) if first == 1 else _chunk_layout(first, last)
+        bs, starts, order = layout.bs, layout.starts, layout.order
+        k, b_of_edge = layout.k, layout.b_of_edge
         # np.linspace computes k * (delta / B) + lo, or k / B * delta when
         # the step underflows to 0
         step = delta / b_of_edge
         left_edges = np.where(step == 0.0, k / b_of_edge * delta, k * step) + lo
-        positions = np.searchsorted(sorted_values, left_edges, side="left")
+        if order is None:
+            positions = np.searchsorted(sorted_values, left_edges, side="left")
+        else:
+            # numpy keeps the lower bound of its search while the keys
+            # increase, so keys in value order probe nearby samples
+            positions = np.empty(left_edges.size, dtype=np.intp)
+            positions[order] = np.searchsorted(sorted_values, left_edges[order], side="left")
         # half-open bins, the last one closed at n
         counts = np.diff(positions, append=n)
-        ends = starts + bs - 1
-        counts[ends] = n - positions[ends]
+        counts[layout.ends] = n - positions[layout.ends]
         distinct, inverse = np.unique(counts, return_inverse=True)
         lgammas = np.array(list(map(math.lgamma, (distinct + 0.5).tolist())))
         terms = lgammas[inverse]
-        head = np.array([_knuth_head(b, float(n)) for b in bs.tolist()])
+        head = _knuth_heads(layout, float(n))
         approx = head + np.add.reduceat(terms, starts)
         # reduceat's B - 1 additions in any order, fsum's rounding and the
         # two additions of the head: (B + 8) eps times the magnitudes
@@ -397,7 +403,68 @@ def _knuth_chunks(values: np.ndarray, search_max: int):
         magnitude = np.add.reduceat(np.abs(terms), starts) + np.abs(head) + np.abs(approx) + 1.0
         err = (bs + 8) * np.finfo(float).eps * magnitude
         yield bs, starts, counts, approx, err
+
+
+def _chunk_bounds(search_max: int):
+    """``(first, last)`` of each chunk of the scan over ``1..search_max``."""
+    first = 1
+    while first <= search_max:
+        last, size = first, first
+        while last < search_max and size + last + 1 <= KNUTH_SCAN_CHUNK:
+            last += 1
+            size += last
+        yield first, last
         first = last + 1
+
+
+class _ChunkLayout(NamedTuple):
+    """What a chunk of the Knuth scan needs of its ``B`` alone, one entry
+    per ``B`` or per left edge."""
+
+    bs: np.ndarray
+    starts: np.ndarray  # where the edges of each B begin
+    ends: np.ndarray  # where they end
+    k: np.ndarray  # the index of each edge within its B
+    b_of_edge: np.ndarray
+    log_b: np.ndarray  # the n-free terms of _knuth_head
+    lgamma_half_b: np.ndarray
+    b_lgamma_half: np.ndarray
+    order: np.ndarray | None  # argsort of k / B, in the chunk that starts at B = 1
+
+
+def _chunk_layout(first: int, last: int) -> _ChunkLayout:
+    bs = np.arange(first, last + 1)
+    starts = np.cumsum(bs) - bs
+    b_list = bs.tolist()
+    k = (np.arange(starts[-1] + last) - np.repeat(starts, bs)).astype(float)
+    b_of_edge = np.repeat(bs.astype(float), bs)
+    return _ChunkLayout(
+        bs=bs,
+        starts=starts,
+        ends=starts + bs - 1,
+        k=k,
+        b_of_edge=b_of_edge,
+        log_b=np.array(list(map(math.log, b_list))),
+        lgamma_half_b=np.array([math.lgamma(b / 2.0) for b in b_list]),
+        b_lgamma_half=bs * math.lgamma(0.5),
+        order=np.argsort(k / b_of_edge) if first == 1 else None,
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _first_chunk_layout(last: int) -> _ChunkLayout:
+    """The layout of the chunk ``B = 1..last``, read-only, as every scan
+    with the same first chunk shares it."""
+    layout = _chunk_layout(1, last)
+    for array in layout:
+        array.setflags(write=False)
+    return layout
+
+
+def _knuth_heads(layout: _ChunkLayout, n: float) -> np.ndarray:
+    # _knuth_head(B, n) of every B in the layout, by its operations in its order
+    return ((n * layout.log_b + layout.lgamma_half_b) - layout.b_lgamma_half) - np.array(
+        list(map(math.lgamma, (n + layout.bs / 2.0).tolist())))
 
 
 def build_histogram(samples: Samples, bin_count: int) -> Histogram:
@@ -408,7 +475,7 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
     (half-open bins, last bin closed so the maximum is counted); heights
     are the bin masses divided by total mass and bin width.  Raises
     :class:`DataError` when a height is not finite: its bin is too narrow,
-    or of zero width, as on a zero range or one a few ulps wide.
+    or of zero width, as on a range a few ulps wide.
     """
     bin_count = _size(bin_count, "bin_count", 1, MAX_BIN_COUNT)
     values, weights = samples.values, samples.weights

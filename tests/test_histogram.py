@@ -187,10 +187,11 @@ class TestSelectBinCount:
         assert select_bin_count(s, BinRule.freedman_diaconis()) == expected
 
     def test_zero_range_rejected_for_data_dependent_rules(self):
-        s = uniform_samples([2.0, 2.0, 2.0])
-        for rule in (BinRule.scott(), BinRule.freedman_diaconis(), BinRule.knuth(10)):
-            with pytest.raises(DataError, match="range"):
-                select_bin_count(s, rule)
+        # the samples themselves are rejected, so every rule gives one message
+        for rule in (BinRule.sqrt(), BinRule.sturges(), BinRule.scott(),
+                     BinRule.freedman_diaconis(), BinRule.knuth(10), BinRule.fixed(3)):
+            with pytest.raises(DataError, match="all samples are equal; data range is zero"):
+                select_bin_count(uniform_samples([2.0, 2.0, 2.0]), rule)
 
     def test_scott_zero_standard_deviation(self):
         # the range is one subnormal step, the squared deviations underflow to 0
@@ -505,6 +506,55 @@ class TestBatchedKnuthScan:
             tracemalloc.stop()
         assert peak < 16e6
 
+    def test_numpy_heads_equal_the_per_b_head(self):
+        # every B the scan can reach, in the chunks the scan builds
+        for first, last in histogram_module._chunk_bounds(MAX_KNUTH_SEARCH):
+            layout = histogram_module._chunk_layout(first, last)
+            for n in (1, 2, 1000, 868913, 10**8):
+                heads = histogram_module._knuth_heads(layout, float(n))
+                expected = [histogram_module._knuth_head(b, float(n)) for b in range(first, last + 1)]
+                assert np.array_equal(heads.view(np.int64), np.array(expected).view(np.int64))
+
+    def test_first_chunk_layout_is_read_only_in_value_order(self):
+        layout = histogram_module._first_chunk_layout(200)
+        assert histogram_module._first_chunk_layout(200) is layout
+        assert not any(array.flags.writeable for array in layout)
+        with pytest.raises(ValueError, match="read-only"):
+            layout.k[0] = 1.0
+        assert np.array_equal(np.sort(layout.order), np.arange(200 * 201 // 2))
+        assert np.all(np.diff((layout.k / layout.b_of_edge)[layout.order]) >= 0.0)
+
+    # the first chunk is B = 1..min(K, 361): these bounds build its layout,
+    # reuse it, replace it and add later chunks
+    CHANGING_BOUNDS = (200, 37, 200, 361, 362, 1000)
+
+    def test_scans_of_changing_bounds_match_the_per_step_scan(self):
+        values = scan_vector("normal")
+        _, expected = per_step_knuth_scan(values, 1000)
+        histogram_module._first_chunk_layout.cache_clear()
+        for _ in ("cold", "warm"):
+            for search_max in self.CHANGING_BOUNDS:
+                exact, lower, upper = scanned_posteriors(values, search_max)
+                assert exact == expected[:search_max]
+                assert all(lo <= lp <= hi for lo, lp, hi in zip(lower, exact, upper))
+                best = max(range(search_max), key=lambda i: (expected[i], -i)) + 1
+                assert select_bin_count(uniform_samples(values), BinRule.knuth(search_max)) == best
+
+    def test_the_cache_holds_one_first_chunk(self):
+        s = uniform_samples(scan_vector("normal"))
+        histogram_module._first_chunk_layout.cache_clear()
+        tracemalloc.start()
+        try:
+            for search_max in self.CHANGING_BOUNDS:
+                select_bin_count(s, BinRule.knuth(search_max))
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the layout of 1..361 is about 1.6 MB, and those of 1..200 and
+        # 1..37 would add 0.5 MB
+        assert retained < 2e6
+        assert histogram_module._first_chunk_layout.cache_info().currsize == 1
+
 
 # direct counting oracle: half-open bins, last bin closed
 def oracle_masses(values, weights, edges):
@@ -600,8 +650,7 @@ class TestBuildHistogram:
             build_histogram(uniform_samples([4.0, 4.0, 4.0]), 3)
 
     def test_zero_range_with_unequal_weights(self):
-        # the np.histogram path of the masses meets the same height guard
-        with pytest.raises(DataError, match="bin density overflows: 3 bins over a range of 0.0"):
+        with pytest.raises(DataError, match="all samples are equal; data range is zero"):
             build_histogram(Samples([4.0, 4.0, 4.0], weights=[1.0, 2.0, 3.0]), 3)
 
     def test_bad_bin_count(self):
