@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             loaded = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
@@ -224,7 +224,7 @@ def _read_columns(path: str, *columns: str) -> np.ndarray:
     the first bad row.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if not header:
@@ -280,9 +280,9 @@ def _parse_rows(path: str, fh, columns: tuple[str, ...], indices: list[int]) -> 
 def _read_finite(path: str, *columns: str) -> np.ndarray:
     """:func:`_read_columns`, with a :class:`DataError` naming the first non-finite cell."""
     table = _read_columns(path, *columns)
-    bad = np.argwhere(~np.isfinite(table.T))  # (row, column) pairs in file order
-    if bad.size:
-        row, col = bad[0].tolist()
+    # a NaN reaches both extremes and an inf one, so a finite range needs no search
+    if not (np.isfinite(table.min()) and np.isfinite(table.max())):
+        row, col = np.argwhere(~np.isfinite(table.T))[0].tolist()  # (row, column), file order
         raise DataError(f"{path}: row {row + 2}, column {columns[col]!r}: non-finite value")
     return table
 

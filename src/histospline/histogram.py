@@ -61,24 +61,25 @@ def _size(value, name: str, lo: int, hi: int | None = None) -> int:
 class Samples:
     """Observation vector with per-sample weights.
 
-    Weights default to the uniform ``1/N`` scheme.  They must be
-    nonnegative with a positive sum; normalization to unit total mass
-    happens at histogram construction time, so only relative weights
-    matter.  Values must be finite, not all equal, with a finite spread
-    ``max - min``, which every bin rule and the histogram edges are built
-    from.
+    Weights default to ``1/N`` each, a read-only view with stride 0, so
+    the read-only copy of ``values`` is the only N-sized array held.
+    Given weights are copied too; they must be finite and nonnegative with
+    a positive sum.  Normalization to unit total mass happens at histogram
+    construction time, so only relative weights matter.  Values must be
+    finite, not all equal, with a finite spread ``max - min``, which every
+    bin rule and the histogram edges are built from.
     """
 
     values: np.ndarray
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _frozen_array(self.values)
         if values.ndim != 1 or values.size < 2:
             raise DataError("need a 1-d sample vector with at least 2 observations")
-        if not np.all(np.isfinite(values)):
-            raise DataError("sample values must all be finite")
         lo, hi = float(values.min()), float(values.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):  # a NaN reaches both, an inf one
+            raise DataError("sample values must all be finite")
         if hi == lo:
             raise DataError("all samples are equal; data range is zero")
         if not math.isfinite(hi - lo):
@@ -86,10 +87,9 @@ class Samples:
                 f"sample spread max - min overflows the float range (min {lo!r}, max {hi!r})"
             )
         if self.weights is None:
-            weights = np.full(values.size, 1.0 / values.size)
-            weights.setflags(write=False)
+            weights = np.broadcast_to(1.0 / values.size, values.shape)
         else:
-            weights = np.asarray(self.weights, dtype=float)
+            weights = _frozen_array(self.weights)
             if weights.shape != values.shape:
                 raise DataError("weights must have the same length as values")
             if not np.all(np.isfinite(weights)):
@@ -102,8 +102,7 @@ class Samples:
                 raise DataError("the weight total overflows the float range")
             if total <= 0.0:
                 raise DataError("at least one weight must be positive")
-            weights = _frozen_array(weights)
-        object.__setattr__(self, "values", _frozen_array(values))
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:

@@ -56,7 +56,7 @@ class Boundary(str, Enum):
     def _missing_(cls, value):
         raise DataError(f"unknown boundary condition {value!r}")
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.value
 
 

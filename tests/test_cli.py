@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -18,6 +19,7 @@ import pytest
 import histospline
 from histospline import (
     BinRule,
+    DataError,
     DisjointSupportsError,
     Samples,
     build_histogram,
@@ -238,6 +240,68 @@ class TestReaderParity:
         assert main(["estimate", "--input", str(path), "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
 
+
+BOM = b"\xef\xbb\xbf"  # how "UTF-8 with BOM" files (Excel's CSV UTF-8) begin
+
+
+class TestByteOrderMark:
+    """A UTF-8 BOM at the start of an input file is not part of its first cell."""
+
+    @pytest.mark.parametrize("text", [
+        b"x,y\n1.5,2\n2.5,3\n4,5\n",
+        b"x,y\n1_500,2\n2.5,3\n4,5\n",  # read by the float() fallback
+    ], ids=["c-parser", "fallback"])
+    def test_estimate_reads_the_first_column(self, tmp_path, capsys, text):
+        outputs = {}
+        for name, data in (("plain", text), ("bom", BOM + text)):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(data)
+            out = tmp_path / f"out-{name}"
+            argv = ["estimate", "--input", str(path), "--rule", "fixed:2", "--bc", "natural",
+                    "--out-dir", str(out)]
+            assert main(argv) == 0, capsys.readouterr().err
+            outputs[name] = [(out / f).read_bytes() for f in ("histogram.csv", "curve.csv")]
+        assert outputs["bom"] == outputs["plain"]
+
+    def test_compare_reads_a_bom_curve(self, tmp_path, capsys):
+        curve = b"u,pdf\n0.0,1.0\n0.5,1.0\n1.0,1.0\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(curve)
+        bom.write_bytes(BOM + curve)
+        assert main(["compare", str(plain), str(plain)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["compare", str(bom), str(plain)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_config_file_may_begin_with_a_bom(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_bytes(BOM + b'{"seed": 7}')
+        assert main(["generate", "--config", str(config_path), "--emit-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 7
+
+
+class TestReadFinite:
+    def test_cells_are_searched_only_for_a_non_finite_range(self, tmp_path, monkeypatch):
+        path = tmp_path / "ok.csv"
+        path.write_text("u,pdf\n0.0,1.0\n1.0,-2.5\n")
+
+        def no_search(*args):
+            raise AssertionError("searched the cells of a finite table")
+
+        monkeypatch.setattr(cli.np, "argwhere", no_search)
+        assert cli._read_finite(str(path), "u", "pdf").tolist() == [[0.0, 1.0], [1.0, -2.5]]
+
+    @pytest.mark.parametrize("text, message", [
+        ("u,pdf\n-inf,1\n1,2\n", "row 2, column 'u'"),
+        ("u,pdf\n0,1\n1,-inf\n", "row 3, column 'pdf'"),
+        ("u,pdf\n0,nan\ninf,1\n", "row 2, column 'pdf'"),  # file order, not column order
+        ("u,pdf\nnan,nan\nnan,nan\n", "row 2, column 'u'"),
+    ])
+    def test_first_non_finite_cell_is_named(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}: non-finite value$"):
+            cli._read_finite(str(path), "u", "pdf")
 
 class TestEstimate:
     def test_artifacts_and_clamped_endpoints(self, small_corpus_file, tmp_path):

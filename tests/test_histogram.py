@@ -85,6 +85,61 @@ class TestSamples:
         assert weighted.weights[0] == 1.0
 
 
+    def test_default_weights_are_a_stride_zero_view(self):
+        s = uniform_samples([1.0, 2.0, 3.0, 4.0, 5.0])
+        assert s.weights.strides == (0,) and s.weights.shape == (5,)
+        assert not s.weights.flags.writeable
+        assert np.all(s.weights == 1.0 / 5)
+        with pytest.raises(ValueError):
+            s.weights[0] = 99.0
+
+    @pytest.mark.parametrize("kind", ["array", "list"])
+    def test_one_n_sized_array_is_held(self, kind):
+        # the read-only copy of the values, 8 MB, and no weight array; a
+        # list is converted once, so no second copy shows in the peak
+        values = np.random.default_rng(3).normal(size=10**6)
+        given = values if kind == "array" else values.tolist()
+        tracemalloc.start()
+        try:
+            s = Samples(given)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 8.5e6 and peak < 8.5e6
+        assert np.array_equal(s.values, values) and not s.values.flags.writeable
+
+    @pytest.mark.parametrize("values", [
+        [np.nan, np.nan, np.nan],
+        [-np.inf, 1.0],
+        [1.0, 2.0, np.inf],
+        [0.0, 1.0, 2.0, np.nan],
+        [np.inf, -np.inf],
+        [1.0, 1.0, np.nan],  # non-finite comes before a zero range
+        [-1e308, 1e308, np.nan],  # and before an overflowing spread
+    ], ids=["all-nan", "minus-inf-first", "inf-last", "nan-last", "both-infs",
+            "nan-and-equal", "nan-and-wide"])
+    def test_any_non_finite_value_is_named(self, values):
+        with pytest.raises(DataError, match="^sample values must all be finite$"):
+            Samples(np.array(values))
+
+    @pytest.mark.parametrize("weights, message", [
+        ([1.0, 1.0, np.nan], "weights must all be finite"),
+        ([-np.inf, 1.0, 1.0], "weights must all be finite"),
+        ([np.nan, -1.0, 1.0], "weights must all be finite"),
+        ([1.0, 2.0, -0.5], "weights must be nonnegative"),
+        ([-0.0, 0.0, 0.0], "at least one weight must be positive"),
+    ])
+    def test_weight_messages(self, weights, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            Samples([0.0, 1.0, 2.0], weights)
+
+    def test_listed_weights_are_copied_read_only(self):
+        s = Samples([0.0, 1.0, 2.0], [1.0, 2.0, 1.0])
+        assert isinstance(s.weights, np.ndarray) and not s.weights.flags.writeable
+        assert s.weights.strides == (8,)
+        assert build_histogram(s, 3).heights == pytest.approx([0.375, 0.75, 0.375])
+
+
 class TestBinRule:
     def test_parse_label_round_trip(self):
         for text in ("sqrt", "sturges", "scott", "fd", "knuth", "fixed:12"):

@@ -302,6 +302,11 @@ class TestFitInterpolatingSpline:
             CubicSplineModel(knots=np.array([0.0, 1.0]), coefficients=np.zeros((1, 4)),
                              boundary="bogus")
 
+    @pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
+    def test_boundary_prints_as_its_name(self, boundary):
+        # str() and format() give the name the CLI's --bc and summary use
+        assert str(boundary) == format(boundary) == f"{boundary}" == boundary.value
+
     @pytest.mark.parametrize("seed", range(8))
     def test_natural_end_moments_are_exact_positive_zeros(self, seed):
         rng = np.random.default_rng(seed)
