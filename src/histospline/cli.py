@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import warnings
 from array import array
@@ -289,8 +290,11 @@ def _read_finite(path: str, *columns: str) -> np.ndarray:
 
 def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
     u, pdf = _read_finite(path, "u", "pdf")
-    if np.any(np.diff(u) <= 0.0):
+    if np.any(u[1:] <= u[:-1]):
         raise DataError(f"{path}: curve grid must be strictly increasing")
+    lo, hi = float(u[0]), float(u[-1])
+    if not math.isfinite(hi - lo):
+        raise DataError(f"{path}: curve grid span {lo!r} to {hi!r} overflows the float range")
     return u, pdf
 
 

@@ -119,7 +119,7 @@ def check_corpus_size(count: int, ranges: ScenarioRanges) -> None:
 DEFAULT_RANGES = ScenarioRanges(v0=(25.0, 35.0), t_react=(0.8, 1.5), decel=(3.5, 4.5), dt=0.01)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Sampled longitudinal position trace: x starts at 0 and never
     decreases (the vehicle does not reverse)."""

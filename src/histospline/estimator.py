@@ -8,24 +8,24 @@ difference F[-1] - F[0] = 1.  Cubic interpolation of F can undershoot,
 which makes the derivative locally negative; the library reports this
 (see :meth:`PdfEstimate.min_density`) and never clips, since clipping
 would break both the per-bin identity and the normalization.
+
+A :class:`PdfEstimate` is its histogram, bin rule and boundary
+condition: it fits its spline to :func:`cumulative_masses` of the
+histogram it holds, so the edges are stored, and checked, once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DisjointSupportsError
-from .histogram import (
-    NORMALIZATION_TOL, BinRule, Histogram, Samples, _frozen_array, _size, build_histogram,
-    select_bin_count,
-)
+from .errors import DisjointSupportsError
+from .histogram import BinRule, Histogram, Samples, _size, build_histogram, select_bin_count
 from .spline import Boundary, CubicSplineModel, fit_interpolating_spline
 
 __all__ = [
-    "CumulativeProfile",
     "PdfEstimate",
     "cumulative_masses",
     "estimate_from_histogram",
@@ -43,74 +43,47 @@ DENSITY_FLOOR = 1e-12
 MAX_GRID_SIZE = 1_000_000
 
 
-@dataclass(frozen=True)
-class CumulativeProfile:
-    """Cumulative bin masses F over the bin edges x.
-
-    ``F[0] = 0`` and ``F[-1] = 1`` exactly; ``F[i+1] - F[i]`` is the mass
-    of bin ``i``.
-    """
-
-    x: np.ndarray
-    F: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        F = np.asarray(self.F, dtype=float)
-        if x.ndim != 1 or x.size < 2 or F.shape != x.shape:
-            raise DataError("x and F must be 1-d arrays of equal length >= 2")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(F))):
-            raise DataError("x and F must be finite")
-        if np.any(np.diff(x) <= 0.0):
-            raise DataError("x must be strictly increasing")
-        if F[0] != 0.0:
-            raise DataError("cumulative profile must start at exactly 0")
-        if np.any(np.diff(F) < 0.0):
-            raise DataError("cumulative profile must be non-decreasing")
-        if abs(F[-1] - 1.0) > NORMALIZATION_TOL:
-            raise DataError(f"cumulative profile must end at 1, got {F[-1]!r}")
-        object.__setattr__(self, "x", _frozen_array(x))
-        object.__setattr__(self, "F", _frozen_array(F))
-
-
-def cumulative_masses(hist: Histogram) -> CumulativeProfile:
-    """Accumulate the histogram's bin masses into a cumulative profile.
+def cumulative_masses(hist: Histogram) -> np.ndarray:
+    """Cumulative bin masses ``F`` over the histogram's edges, read-only.
 
     The running sum of ``heights[i] * widths[i]`` is prepended with the
     starting condition ``F = 0`` at the first edge, then rescaled by its
     final value (a last-ulp correction, the histogram is already
-    normalized to 1e-12) so the endpoint is exactly 1.
+    normalized to 1e-12) so the endpoint is exactly 1.  The masses are
+    nonnegative, so ``F`` is non-decreasing from ``F[0] = 0`` to
+    ``F[-1] = 1``, and ``F[i+1] - F[i]`` is the mass of bin ``i``.
     """
-    masses = hist.heights * hist.widths
-    F = np.concatenate(([0.0], np.cumsum(masses)))
-    return CumulativeProfile(x=hist.edges, F=F / F[-1])
+    F = np.concatenate(([0.0], np.cumsum(hist.heights * hist.widths)))
+    F /= F[-1]
+    F.setflags(write=False)
+    return F
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PdfEstimate:
-    """Smooth density estimate: the derivative of a cubic spline fitted
-    to the cumulative histogram profile.
+    """Smooth density estimate: the derivative of the cubic spline fitted,
+    under ``boundary``, to the cumulative masses of ``histogram``.
 
-    Calling the estimate evaluates the density; :meth:`cdf` evaluates the
-    underlying spline.  Values may be locally negative where the spline
-    undershoots.
+    ``rule`` is carried as metadata.  Calling the estimate evaluates the
+    density; :meth:`cdf` evaluates the underlying spline.  Values may be
+    locally negative where the spline undershoots.
     """
 
-    spline: CubicSplineModel
-    profile: CumulativeProfile
+    histogram: Histogram
     rule: BinRule
+    boundary: Boundary
+    spline: CubicSplineModel = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not np.array_equal(self.spline.knots, self.profile.x):
-            raise DataError("spline knots and profile edges must agree")
-
-    @property
-    def boundary(self) -> Boundary:
-        return self.spline.boundary
+        boundary = Boundary(self.boundary)
+        spline = fit_interpolating_spline(
+            self.histogram.edges, cumulative_masses(self.histogram), boundary)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "spline", spline)
 
     @property
     def bin_count(self) -> int:
-        return self.profile.x.size - 1
+        return self.histogram.bin_count
 
     @property
     def support(self) -> tuple[float, float]:
@@ -124,8 +97,9 @@ class PdfEstimate:
 
     def normalization(self) -> float:
         """Analytic integral over the support: the spline's endpoint
-        difference, exactly ``F[-1] - F[0]``."""
-        return float(self.profile.F[-1] - self.profile.F[0])
+        difference, exactly ``F[-1] - F[0]`` of the cumulative masses."""
+        F = cumulative_masses(self.histogram)
+        return float(F[-1] - F[0])
 
     def min_density(self) -> float:
         """Exact minimum of the density over the support.
@@ -154,16 +128,14 @@ def estimate_from_histogram(
     bin count (e.g. to export the histogram itself) use this to avoid
     re-running the selection scan.
     """
-    profile = cumulative_masses(hist)
-    spline = fit_interpolating_spline(profile.x, profile.F, boundary)
-    return PdfEstimate(spline=spline, profile=profile, rule=rule)
+    return PdfEstimate(hist, rule, boundary)
 
 
 def estimate_pdf(samples: Samples, rule: BinRule, boundary: Boundary | str) -> PdfEstimate:
     """Run the full pipeline on ``samples``.
 
     Selects the bin count with ``rule``, builds the weighted histogram,
-    accumulates the cumulative profile, interpolates it with a cubic
+    accumulates its cumulative masses, interpolates them with a cubic
     spline under ``boundary``, and returns the derivative as the density
     estimate over ``[min(values), max(values)]``.  Deterministic: equal
     inputs give bit-identical estimates.

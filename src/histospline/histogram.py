@@ -57,7 +57,7 @@ def _size(value, name: str, lo: int, hi: int | None = None) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Samples:
     """Observation vector with per-sample weights.
 
@@ -181,7 +181,7 @@ class BinRule:
         return self.tag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
     """Equal-width density histogram: ``B+1`` edges, ``B`` heights.
 
@@ -201,11 +201,17 @@ class Histogram:
             raise DataError("heights must have exactly len(edges) - 1 entries")
         if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(heights))):
             raise DataError("histogram edges and heights must be finite")
-        if np.any(np.diff(edges) <= 0.0):
+        with np.errstate(over="ignore"):  # an infinite width is reported below
+            widths = np.diff(edges)
+        if np.any(widths <= 0.0):
             raise DataError("edges must be strictly increasing")
         if np.any(heights < 0.0):
             raise DataError("heights must be nonnegative")
-        total = float(np.sum(heights * np.diff(edges)))
+        if not np.all(np.isfinite(widths)):
+            raise DataError("a bin width overflows the float range")
+        # finite nonnegative terms: the integral is finite or +inf, never NaN
+        with np.errstate(over="ignore"):
+            total = float(np.sum(heights * widths))
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise DataError(f"histogram is not normalized: integral = {total!r}")
         object.__setattr__(self, "edges", _frozen_array(edges))

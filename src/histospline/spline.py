@@ -129,7 +129,7 @@ def bspline_basis_derivative(i: int, p: int, tau, u: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CubicSplineModel:
     """Piecewise cubic in local power form.
 

@@ -19,6 +19,7 @@ from histospline import (
     Samples,
     bspline_basis,
     bspline_basis_derivative,
+    cumulative_masses,
     estimate_pdf,
     fit_interpolating_spline,
     flatten_positions,
@@ -57,11 +58,11 @@ def seeded_dataset(index, size=2000):
 def bin_quadrature_residual(est):
     """Largest |bin integral - bin mass|; two-point Gauss per bin is exact
     for the piecewise-quadratic density."""
-    x = est.profile.x
+    x = est.histogram.edges
     h = np.diff(x)
     mid = 0.5 * (x[:-1] + x[1:])
     off = h / (2.0 * np.sqrt(3.0))
-    masses = np.diff(est.profile.F)
+    masses = np.diff(cumulative_masses(est.histogram))
     integrals = (h / 2.0) * (est(mid - off) + est(mid + off))
     return float(np.max(np.abs(integrals - masses)))
 

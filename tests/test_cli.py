@@ -640,6 +640,18 @@ class TestCompare:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", [
+        "u,pdf\n-1e308,0.5\n1e308,0.5\n",
+        "u,pdf\n-1e308,0.25\n0,0.5\n1e308,0.25\n",
+    ], ids=["one-step", "two-steps"])
+    def test_curve_span_beyond_the_float_range_is_a_data_error(self, curve, tmp_path, capsys,
+                                                               text):
+        wide = tmp_path / "wide.csv"
+        wide.write_text(text)
+        assert main(["compare", str(wide), str(curve)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {wide}: curve grid span -1e+308 to 1e+308 overflows the float range\n")
+
     def test_natural_vs_not_a_knot_kl_is_small(self, small_corpus_file, tmp_path, capsys):
         curves = {}
         for bc in ("natural", "not-a-knot"):

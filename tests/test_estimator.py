@@ -1,4 +1,4 @@
-"""Tests for the histogram -> cumulative profile -> spline -> PDF pipeline."""
+"""Tests for the histogram -> cumulative masses -> spline -> PDF pipeline."""
 
 import math
 import tracemalloc
@@ -11,7 +11,6 @@ from scipy.stats import norm
 from histospline import (
     BinRule,
     Boundary,
-    CumulativeProfile,
     DataError,
     DisjointSupportsError,
     Histogram,
@@ -38,7 +37,7 @@ ALL_BOUNDARIES = (Boundary.CLAMPED, Boundary.NATURAL, Boundary.NOT_A_KNOT)
 def gauss_bin_masses(est):
     """Per-bin integral of the density by two-point Gauss quadrature,
     exact for the piecewise-quadratic derivative up to roundoff."""
-    x = est.profile.x
+    x = est.histogram.edges
     h = np.diff(x)
     mid = 0.5 * (x[:-1] + x[1:])
     off = h / (2.0 * np.sqrt(3.0))
@@ -48,37 +47,28 @@ def gauss_bin_masses(est):
 class TestCumulativeProfile:
     def test_equal_masses(self):
         hist = build_histogram(Samples(np.array([0.0, 1.0, 2.0, 3.0])), 2)
-        profile = cumulative_masses(hist)
-        assert profile.F[0] == 0.0
-        assert profile.F[-1] == 1.0
-        assert profile.F == pytest.approx([0.0, 0.5, 1.0], abs=1e-15)
-        assert np.array_equal(profile.x, hist.edges)
+        F = cumulative_masses(hist)
+        assert F[0] == 0.0
+        assert F[-1] == 1.0
+        assert F == pytest.approx([0.0, 0.5, 1.0], abs=1e-15)
+        assert F.shape == hist.edges.shape
 
     def test_mass_increments_match_heights(self):
         rng = np.random.default_rng(0)
         hist = build_histogram(Samples(rng.normal(size=500)), 9)
-        profile = cumulative_masses(hist)
+        F = cumulative_masses(hist)
         masses = hist.heights * hist.widths
-        assert np.diff(profile.F) == pytest.approx(masses, abs=1e-15)
+        assert np.diff(F) == pytest.approx(masses, abs=1e-15)
 
-    def test_rejects_unnormalized_profile(self):
-        with pytest.raises(DataError, match="end at 1"):
-            CumulativeProfile(x=np.array([0.0, 1.0, 2.0]), F=np.array([0.0, 0.5, 0.75]))
-        with pytest.raises(DataError, match="start at exactly 0"):
-            CumulativeProfile(x=np.array([0.0, 1.0]), F=np.array([0.1, 1.0]))
-        with pytest.raises(DataError, match="non-decreasing"):
-            CumulativeProfile(x=np.array([0.0, 1.0, 2.0]), F=np.array([0.0, 0.8, 0.5]))
-
-    @pytest.mark.parametrize("x, F, message", [
-        ([0.0], [0.0], "equal length >= 2"),
-        ([0.0, 1.0, 2.0], [0.0, 1.0], "equal length >= 2"),
-        ([0.0, np.nan], [0.0, 1.0], "x and F must be finite"),
-        ([0.0, 1.0], [0.0, np.inf], "x and F must be finite"),
-        ([0.0, 2.0, 1.0], [0.0, 0.5, 1.0], "x must be strictly increasing"),
-    ])
-    def test_rejects_malformed_profile(self, x, F, message):
-        with pytest.raises(DataError, match=message):
-            CumulativeProfile(x=np.array(x), F=np.array(F))
+    def test_masses_are_read_only_and_end_exactly(self):
+        rng = np.random.default_rng(1)
+        for bins in (1, 7, 200):
+            F = cumulative_masses(build_histogram(Samples(rng.lognormal(size=1000)), bins))
+            assert not F.flags.writeable
+            assert F[0] == 0.0 and F[-1] == 1.0
+            assert np.all(np.diff(F) >= 0.0)
+            with pytest.raises(ValueError, match="read-only"):
+                F[1] = 0.5
 
     def test_unnormalized_histogram_cannot_enter(self):
         # the histogram type itself guards the unit-mass premise
@@ -119,18 +109,10 @@ class TestEstimatePdf:
         with pytest.raises(DataError, match="^unknown boundary condition 'bogus'$"):
             estimate_pdf(Samples(values), BinRule.fixed(3), "bogus")
 
-    def test_mismatched_spline_and_profile_rejected(self):
-        values = np.random.default_rng(36).normal(size=100)
-        three = estimate_pdf(Samples(values), BinRule.fixed(3), "natural")
-        four = estimate_pdf(Samples(values), BinRule.fixed(4), "natural")
-        with pytest.raises(DataError, match="spline knots and profile edges must agree"):
-            PdfEstimate(spline=three.spline, profile=four.profile, rule=three.rule)
-
-    def test_spline_and_profile_over_different_supports_rejected(self):
-        a = estimate_pdf(Samples(np.linspace(0.0, 1.0, 50)), BinRule.fixed(3), "natural")
-        b = estimate_pdf(Samples(np.linspace(5.0, 9.0, 50)), BinRule.fixed(3), "natural")
-        with pytest.raises(DataError, match="spline knots and profile edges must agree"):
-            PdfEstimate(spline=a.spline, profile=b.profile, rule=a.rule)
+    def test_constructor_rejects_an_unknown_boundary(self):
+        hist = build_histogram(Samples(np.array([0.0, 0.3, 1.1, 1.7, 2.0])), 3)
+        with pytest.raises(DataError, match="^unknown boundary condition 'bogus'$"):
+            PdfEstimate(hist, BinRule.fixed(3), "bogus")
 
     def test_unknown_boundary_is_rejected_before_the_scan(self, monkeypatch):
         def scan(*args):
@@ -144,7 +126,7 @@ class TestEstimatePdf:
     def test_per_bin_integrals_match_masses(self, boundary):
         rng = np.random.default_rng(17)
         est = estimate_pdf(Samples(rng.normal(size=2000)), BinRule.sqrt(), boundary)
-        masses = np.diff(est.profile.F)
+        masses = np.diff(cumulative_masses(est.histogram))
         assert np.max(np.abs(gauss_bin_masses(est) - masses)) <= 1e-10
 
     def test_normalization_is_exact_and_simpson_agrees(self):
@@ -159,7 +141,7 @@ class TestEstimatePdf:
         a = estimate_pdf(Samples(values), BinRule.knuth(100), Boundary.NATURAL)
         b = estimate_pdf(Samples(values), BinRule.knuth(100), Boundary.NATURAL)
         assert np.array_equal(a.spline.coefficients, b.spline.coefficients)
-        assert np.array_equal(a.profile.F, b.profile.F)
+        assert np.array_equal(cumulative_masses(a.histogram), cumulative_masses(b.histogram))
 
     def test_composition_matches_manual_pipeline(self):
         values = np.random.default_rng(34).normal(size=1500)
@@ -169,6 +151,8 @@ class TestEstimatePdf:
         hist = build_histogram(samples, select_bin_count(samples, rule))
         manual = estimate_from_histogram(hist, rule, Boundary.NATURAL)
         assert np.array_equal(est.spline.coefficients, manual.spline.coefficients)
+        assert est.histogram.edges.tobytes() == hist.edges.tobytes()
+        assert est.histogram.heights.tobytes() == hist.heights.tobytes()
 
     def test_metadata(self):
         values = np.random.default_rng(35).normal(size=400)
@@ -205,7 +189,8 @@ class TestPdfEvaluation:
     def test_cdf_recovers_profile(self):
         rng = np.random.default_rng(40)
         est = estimate_pdf(Samples(rng.normal(size=1000)), BinRule.sqrt(), "natural")
-        assert est.cdf(est.profile.x) == pytest.approx(est.profile.F, abs=1e-12)
+        F = cumulative_masses(est.histogram)
+        assert est.cdf(est.histogram.edges) == pytest.approx(F, abs=1e-12)
 
     def test_simpson_integral_is_one(self):
         rng = np.random.default_rng(41)
@@ -403,3 +388,21 @@ class TestTurningPoints:
         est = estimate_pdf(Samples(np.array([0.0, 1.0, 2.0])), BinRule.fixed(1), "natural")
         with pytest.raises(DataError, match="grid_size"):
             count_turning_points(est, grid_size=2)
+
+
+def test_array_holding_values_compare_and_hash_by_identity():
+    # generated field-wise equality raised on the arrays; hashing raised too
+    samples = Samples(np.array([0.0, 1.0, 2.0]))
+    hist = build_histogram(samples, 2)
+    est = estimate_from_histogram(hist, BinRule.fixed(2), "natural")
+    pairs = [
+        (samples, Samples(np.array([0.0, 1.0, 2.0]))),
+        (hist, build_histogram(samples, 2)),
+        (est, PdfEstimate(hist, BinRule.fixed(2), "natural")),
+        (est.spline, PdfEstimate(hist, BinRule.fixed(2), "natural").spline),
+        (generate_corpus(1, seed=0)[0], generate_corpus(1, seed=0)[0]),
+    ]
+    for value, twin in pairs:
+        assert value == value and value != twin
+        assert hash(value) == hash(value)
+        assert len({value, twin}) == 2

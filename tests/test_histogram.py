@@ -737,6 +737,11 @@ class TestBuildHistogram:
         ([0.0, 1.0, np.inf], [0.5, 0.5], "must be finite"),
         ([0.0, 1.0, 1.0, 2.0], [0.5, 0.0, 0.5], "edges must be strictly increasing"),
         ([0.0, 1.0, 2.0], [1.5, -0.5], "heights must be nonnegative"),
+        # a numpy RuntimeWarning fails these too (pyproject.toml): an overflowing
+        # width must be rejected before it makes a nan integral
+        ([-1e308, 1e308, 1.5e308], [0.0, 2e-308], "a bin width overflows the float range"),
+        ([1e308, -1e308], [1.0], "edges must be strictly increasing"),
+        ([0.0, 1e300, 2e300], [1e300, 1e300], "not normalized: integral = inf$"),
     ])
     def test_malformed_histogram_rejected(self, edges, heights, message):
         with pytest.raises(DataError, match=message):
