@@ -25,6 +25,7 @@ import numpy as np
 
 from .datagen import (
     DEFAULT_RANGES,
+    MAX_CORPUS_SAMPLES,
     ScenarioRanges,
     check_corpus_size,
     flatten_positions,
@@ -215,14 +216,17 @@ def _write_csv(path: Path, header: str, chunks) -> None:
         fh.writelines(chunks)
 
 
-def _read_columns(path: str, *columns: str) -> np.ndarray:
+def _read_columns(path: str, *columns: str, limit: int) -> np.ndarray:
     """The named numeric columns of a headered CSV file, shape ``(len(columns), rows)``.
 
     numpy's C parser reads the cells.  It accepts a subset of what
     ``float()`` accepts and skips blank lines, so when it fails, or reads
     fewer rows than the file has lines, the file is read again by
     :func:`_parse_rows`, which accepts what ``float()`` accepts and names
-    the first bad row.
+    the first bad row.  numpy's parser is given at most ``limit + 1``
+    lines (its ``max_rows`` would allocate that many rows up front), the
+    fallback at most ``limit + 1`` rows, and a file with more than
+    ``limit`` data rows is a :class:`DataError`.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -241,14 +245,15 @@ def _read_columns(path: str, *columns: str) -> np.ndarray:
                 with warnings.catch_warnings():
                     # a header-only file is reported below, with the row count
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    table = np.loadtxt(map(itemgetter(0), zip(fh, lines)), delimiter=",",
-                                       usecols=indices, quotechar='"', comments=None, ndmin=2)
+                    table = np.loadtxt(
+                        map(itemgetter(0), zip(islice(fh, limit + 1), lines)), delimiter=",",
+                        usecols=indices, quotechar='"', comments=None, ndmin=2)
             except UnicodeDecodeError:
                 raise  # reported below; the fallback would fail on the same byte
             except ValueError:
                 table = None
             if table is None or table.shape[0] != next(lines):
-                table = _parse_rows(path, fh, columns, indices)
+                table = _parse_rows(path, fh, columns, indices, limit)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -256,18 +261,21 @@ def _read_columns(path: str, *columns: str) -> np.ndarray:
     except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
         raise DataError(f"{path}: {exc}") from exc
     rows = table.shape[0]
+    if rows > limit:
+        raise DataError(f"{path}: more than the limit of {limit} data rows")
     if rows < 2:
         raise DataError(f"{path}: need at least 2 data rows, found {rows}")
     return table.T
 
 
-def _parse_rows(path: str, fh, columns: tuple[str, ...], indices: list[int]) -> np.ndarray:
-    """The ``indices`` cells of every data row of ``fh`` through ``float()``,
-    shape ``(rows, len(indices))``, in one pass that names the first bad
-    cell, row by row."""
+def _parse_rows(path: str, fh, columns: tuple[str, ...], indices: list[int],
+                limit: int) -> np.ndarray:
+    """The ``indices`` cells of the first ``limit + 1`` data rows of ``fh``
+    through ``float()``, shape ``(rows, len(indices))``, in one pass that
+    names the first bad cell, row by row."""
     fh.seek(0)
     values = array("d")
-    for row_number, row in enumerate(islice(csv.reader(fh), 1, None), start=2):
+    for row_number, row in enumerate(islice(csv.reader(fh), 1, limit + 2), start=2):
         for column, col in zip(columns, indices):
             try:
                 values.append(float(row[col]))
@@ -278,9 +286,9 @@ def _parse_rows(path: str, fh, columns: tuple[str, ...], indices: list[int]) -> 
     return np.frombuffer(values).reshape(-1, len(indices))
 
 
-def _read_finite(path: str, *columns: str) -> np.ndarray:
+def _read_finite(path: str, *columns: str, limit: int) -> np.ndarray:
     """:func:`_read_columns`, with a :class:`DataError` naming the first non-finite cell."""
-    table = _read_columns(path, *columns)
+    table = _read_columns(path, *columns, limit=limit)
     # a NaN reaches both extremes and an inf one, so a finite range needs no search
     if not (np.isfinite(table.min()) and np.isfinite(table.max())):
         row, col = np.argwhere(~np.isfinite(table.T))[0].tolist()  # (row, column), file order
@@ -289,7 +297,7 @@ def _read_finite(path: str, *columns: str) -> np.ndarray:
 
 
 def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
-    u, pdf = _read_finite(path, "u", "pdf")
+    u, pdf = _read_finite(path, "u", "pdf", limit=MAX_GRID_SIZE)
     if np.any(u[1:] <= u[:-1]):
         raise DataError(f"{path}: curve grid must be strictly increasing")
     lo, hi = float(u[0]), float(u[-1])
@@ -337,7 +345,7 @@ def _estimate_summary(config: RunConfig, estimate, sample_count: int, source: st
 
 def cmd_estimate(config: RunConfig) -> int:
     if config.input:
-        (values,) = _read_finite(config.input, config.column)
+        (values,) = _read_finite(config.input, config.column, limit=MAX_CORPUS_SAMPLES)
         source = f"{config.input}#{config.column}"
     else:
         corpus = generate_corpus(config.count, config.ranges(), seed=config.seed)

@@ -134,7 +134,7 @@ def estimate_from_histogram(
 def estimate_pdf(samples: Samples, rule: BinRule, boundary: Boundary | str) -> PdfEstimate:
     """Run the full pipeline on ``samples``.
 
-    Selects the bin count with ``rule``, builds the weighted histogram,
+    Selects the bin count with ``rule``, builds the histogram,
     accumulates its cumulative masses, interpolates them with a cubic
     spline under ``boundary``, and returns the derivative as the density
     estimate over ``[min(values), max(values)]``.  Deterministic: equal

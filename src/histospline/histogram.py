@@ -1,10 +1,10 @@
-"""Weighted histogram construction and bin-count selection rules.
+"""Histogram construction and bin-count selection rules.
 
 Bin counts can be chosen by the classic rules (square root, Sturges,
 Scott, Freedman-Diaconis), by a fixed user count, or by Knuth's Bayesian
 rule, which maximizes a marginal log-posterior over equal-width bin
-counts.  All rules operate on the raw (unweighted) sample values; weights
-only enter the histogram masses.
+counts.  Each sample counts once: every rule reads the sample values,
+and each sample carries mass ``1/N`` into the histogram.
 """
 
 from __future__ import annotations
@@ -59,19 +59,14 @@ def _size(value, name: str, lo: int, hi: int | None = None) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Samples:
-    """Observation vector with per-sample weights.
+    """Observation vector, held as one read-only copy of its values.
 
-    Weights default to ``1/N`` each, a read-only view with stride 0, so
-    the read-only copy of ``values`` is the only N-sized array held.
-    Given weights are copied too; they must be finite and nonnegative with
-    a positive sum.  Normalization to unit total mass happens at histogram
-    construction time, so only relative weights matter.  Values must be
-    finite, not all equal, with a finite spread ``max - min``, which every
-    bin rule and the histogram edges are built from.
+    Values must be finite, not all equal, with a finite spread
+    ``max - min``, which every bin rule and the histogram edges are built
+    from.
     """
 
     values: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         values = _frozen_array(self.values)
@@ -86,24 +81,7 @@ class Samples:
             raise DataError(
                 f"sample spread max - min overflows the float range (min {lo!r}, max {hi!r})"
             )
-        if self.weights is None:
-            weights = np.broadcast_to(1.0 / values.size, values.shape)
-        else:
-            weights = _frozen_array(self.weights)
-            if weights.shape != values.shape:
-                raise DataError("weights must have the same length as values")
-            if not np.all(np.isfinite(weights)):
-                raise DataError("weights must all be finite")
-            if np.any(weights < 0.0):
-                raise DataError("weights must be nonnegative")
-            with np.errstate(over="ignore"):
-                total = float(weights.sum())
-            if not math.isfinite(total):
-                raise DataError("the weight total overflows the float range")
-            if total <= 0.0:
-                raise DataError("at least one weight must be positive")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
         return self.values.size
@@ -236,7 +214,7 @@ def select_bin_count(samples: Samples, rule: BinRule) -> int:
     Parameters
     ----------
     samples : Samples
-        Observations; only the raw values enter the rule, never the weights.
+        Observations; only their values enter the rule.
     rule : BinRule
         Selection rule.  ``sqrt`` gives ``round(sqrt(N))``, ``sturges``
         gives ``ceil(log2 N) + 1``, ``scott`` and ``fd`` convert their
@@ -476,17 +454,17 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
     """Build the equal-width density histogram of ``samples``.
 
     Edges span ``[min(values), max(values)]`` exactly with ``bin_count``
-    uniform bins.  Each sample contributes its weight to exactly one bin
+    uniform bins.  Each sample contributes mass ``1/N`` to exactly one bin
     (half-open bins, last bin closed so the maximum is counted); heights
     are the bin masses divided by total mass and bin width.  Raises
     :class:`DataError` when a height is not finite: its bin is too narrow,
     or of zero width, as on a range a few ulps wide.
     """
     bin_count = _size(bin_count, "bin_count", 1, MAX_BIN_COUNT)
-    values, weights = samples.values, samples.weights
+    values = samples.values
     lo, hi = float(values.min()), float(values.max())
     edges = np.linspace(lo, hi, bin_count + 1)
-    masses = _bin_masses(values, weights, edges)
+    masses = _bin_masses(values, edges)
     total = masses.sum()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         heights = masses / (total * np.diff(edges))
@@ -502,22 +480,21 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
 HISTOGRAM_BLOCK = 65536
 
 
-def _bin_masses(values: np.ndarray, weights: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    if not np.all(weights == weights[0]):
-        return np.histogram(values, bins=edges, weights=weights)[0]
-    # Equal weights, as every CLI run has: np.histogram(values, bins=edges,
-    # weights=weights) operation for operation, per block the cumulative
-    # weights at the sorted block's edge positions, summed over blocks and
-    # differenced.  Equal weights have the same cumulative sums in any
-    # order, so only the block's values are sorted, and as cumsum
-    # accumulates in order, every block's are a prefix of the first's.
-    cumulative_weights = np.concatenate(([0.0], weights[:HISTOGRAM_BLOCK].cumsum()))
+def _bin_masses(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    # np.histogram with weights of 1/N each, operation for operation: per
+    # block the cumulative masses at the sorted block's edge positions,
+    # summed over blocks and differenced.  Equal masses have the same
+    # cumulative sums in any order, so only the block's values are sorted,
+    # and as cumsum accumulates in order, every block's are a prefix of the
+    # first's.
+    n = values.size
+    block_cumsum = np.concatenate(([0.0], np.full(min(n, HISTOGRAM_BLOCK), 1.0 / n).cumsum()))
     cumulative = np.zeros(edges.size)
-    for i in range(0, values.size, HISTOGRAM_BLOCK):
+    for i in range(0, n, HISTOGRAM_BLOCK):
         block = np.sort(values[i:i + HISTOGRAM_BLOCK])
         positions = np.concatenate((
             block.searchsorted(edges[:-1], side="left"),
             block.searchsorted(edges[-1:], side="right"),
         ))
-        cumulative += cumulative_weights[positions]
+        cumulative += block_cumsum[positions]
     return np.diff(cumulative)

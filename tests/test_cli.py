@@ -10,6 +10,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -33,6 +34,8 @@ from histospline import (
 )
 from histospline import cli
 from histospline.cli import _read_columns, main
+from histospline.datagen import MAX_CORPUS_SAMPLES
+from histospline.estimator import MAX_GRID_SIZE
 from histospline.histogram import MAX_BIN_COUNT, MAX_KNUTH_SEARCH
 
 
@@ -96,8 +99,8 @@ class TestGenerate:
             for row in reader:
                 t_loop.append(float(row[1]))
                 x_loop.append(float(row[2]))
-        t, x = _read_columns(str(path), "t", "x")
-        (x_only,) = _read_columns(str(path), "x")
+        t, x = _read_columns(str(path), "t", "x", limit=MAX_CORPUS_SAMPLES)
+        (x_only,) = _read_columns(str(path), "x", limit=MAX_CORPUS_SAMPLES)
         for column, loop in ((t, t_loop), (x, x_loop), (x_only, x_loop)):
             assert np.array_equal(column.view(np.uint64), np.array(loop).view(np.uint64))
 
@@ -178,7 +181,7 @@ class TestReaderParity:
         path.write_bytes(text.encode("utf-8"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = _read_columns(str(path), *columns)
+            table = _read_columns(str(path), *columns, limit=MAX_GRID_SIZE)
         expected = row_by_row(path, columns)
         assert table.shape == expected.shape
         assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
@@ -190,7 +193,7 @@ class TestReaderParity:
         rows[40_000] = "40000,2.5,1_000\n"  # only float() reads it
         path = tmp_path / "long.csv"
         path.write_text("series_id,t,x\n" + "".join(rows))
-        table = _read_columns(str(path), "t", "x")
+        table = _read_columns(str(path), "t", "x", limit=MAX_CORPUS_SAMPLES)
         expected = row_by_row(path, ("t", "x"))
         assert table.shape == expected.shape == (2, 70_000)
         assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
@@ -289,7 +292,8 @@ class TestReadFinite:
             raise AssertionError("searched the cells of a finite table")
 
         monkeypatch.setattr(cli.np, "argwhere", no_search)
-        assert cli._read_finite(str(path), "u", "pdf").tolist() == [[0.0, 1.0], [1.0, -2.5]]
+        table = cli._read_finite(str(path), "u", "pdf", limit=MAX_GRID_SIZE)
+        assert table.tolist() == [[0.0, 1.0], [1.0, -2.5]]
 
     @pytest.mark.parametrize("text, message", [
         ("u,pdf\n-inf,1\n1,2\n", "row 2, column 'u'"),
@@ -301,7 +305,77 @@ class TestReadFinite:
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}: non-finite value$"):
-            cli._read_finite(str(path), "u", "pdf")
+            cli._read_finite(str(path), "u", "pdf", limit=MAX_GRID_SIZE)
+
+
+class TestRowLimits:
+    """Each input file is read up to one row past its limit, and a file
+    with more rows than the limit is a data error."""
+
+    # (limit name, the command's argv, header, the cells of one row)
+    CASES = {
+        "estimate": ("MAX_CORPUS_SAMPLES",
+                     ["estimate", "--rule", "fixed:2", "--bc", "natural", "--input"], "x", "{i}"),
+        "compare": ("MAX_GRID_SIZE", ["compare", "--grid", "20"], "u,pdf", "{i},1"),
+    }
+
+    def run(self, tmp_path, command, rows, fallback):
+        _, argv, header, cells = self.CASES[command]
+        lines = [cells.format(i=i) for i in range(rows)]
+        if fallback:  # only float() reads this cell
+            lines[1] = cells.format(i="0_1")
+        path = tmp_path / "rows.csv"
+        path.write_text(header + "\n" + "".join(line + "\n" for line in lines))
+        argv = [*argv, str(path)]
+        if command == "compare":
+            argv.append(str(path))
+        else:
+            argv += ["--out-dir", str(tmp_path / "out")]
+        return main(argv), path
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["loadtxt", "parse-rows"])
+    @pytest.mark.parametrize("command", ["estimate", "compare"])
+    def test_limit_passes_and_one_more_row_is_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                      command, fallback):
+        monkeypatch.setattr(cli, self.CASES[command][0], 20)
+        parsed = []
+        parse_rows = cli._parse_rows
+        monkeypatch.setattr(cli, "_parse_rows", lambda *a: parsed.append(a) or parse_rows(*a))
+        code, _ = self.run(tmp_path, command, 20, fallback)
+        assert code == 0, capsys.readouterr().err
+        code, path = self.run(tmp_path, command, 21, fallback)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: more than the limit of 20 data rows\n"
+        assert bool(parsed) == fallback
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["loadtxt", "parse-rows"])
+    def test_over_limit_file_is_not_read_whole(self, tmp_path, fallback):
+        rows = ["1_000" if fallback and i == 1 else repr(x)
+                for i, x in enumerate(np.random.default_rng(4).normal(size=200_000).tolist())]
+        path = tmp_path / "long.csv"
+        path.write_text("x\n" + "".join(row + "\n" for row in rows))
+        peaks = {}
+        for limit in (1_000, 10**6):
+            tracemalloc.start()
+            try:
+                with contextlib.suppress(DataError):
+                    _read_columns(str(path), "x", limit=limit)
+                peaks[limit] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1_000] < peaks[10**6] / 10
+
+    def test_a_large_limit_allocates_nothing_up_front(self, tmp_path):
+        path = tmp_path / "small.csv"
+        path.write_text("x\n1\n2\n3\n")
+        tracemalloc.start()
+        try:
+            _read_columns(str(path), "x", limit=MAX_CORPUS_SAMPLES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
 
 class TestEstimate:
     def test_artifacts_and_clamped_endpoints(self, small_corpus_file, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for bin rules, the Knuth posterior, and histogram construction."""
 
 import bisect
+import dataclasses
 import math
 import tracemalloc
 
@@ -30,10 +31,6 @@ def uniform_samples(values):
 
 
 class TestSamples:
-    def test_default_weights_are_uniform(self):
-        s = uniform_samples([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(s.weights, np.full(4, 0.25))
-
     def test_too_few_values(self):
         with pytest.raises(DataError, match="at least 2"):
             Samples(np.array([1.0]))
@@ -51,47 +48,13 @@ class TestSamples:
             samples = uniform_samples([-1e308, 0.0, 1e308])
             build_histogram(samples, select_bin_count(samples, BinRule.parse(label)))
 
-    def test_weight_validation(self):
-        with pytest.raises(DataError, match="same length"):
-            Samples(np.array([1.0, 2.0]), weights=np.array([1.0]))
-        with pytest.raises(DataError, match="nonnegative"):
-            Samples(np.array([1.0, 2.0]), weights=np.array([1.0, -0.5]))
-        with pytest.raises(DataError, match="positive"):
-            Samples(np.array([1.0, 2.0]), weights=np.array([0.0, 0.0]))
-
-    @pytest.mark.parametrize("weights, message", [
-        ([1.0, np.nan, 1.0], "weights must all be finite"),
-        ([1.0, np.inf, 1.0], "weights must all be finite"),
-        # each weight is finite, their sum is not; no overflow warning escapes
-        ([1e308] * 3, "the weight total overflows the float range"),
-    ], ids=["nan", "inf", "overflowing-total"])
-    def test_bad_weights_are_data_errors(self, weights, message):
-        with pytest.raises(DataError, match=message):
-            Samples(np.array([0.0, 1.0, 2.0]), weights=np.array(weights))
+    def test_values_are_the_only_field(self):
+        assert [field.name for field in dataclasses.fields(Samples)] == ["values"]
 
     def test_values_are_read_only(self):
         s = uniform_samples([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             s.values[0] = 99.0
-
-    def test_weights_are_read_only(self):
-        explicit = np.array([1.0, 2.0, 3.0])
-        weighted = Samples(np.array([1.0, 2.0, 3.0]), explicit)
-        for s in (uniform_samples([1.0, 2.0, 3.0]), weighted):
-            with pytest.raises(ValueError):
-                s.weights[0] = 99.0
-        # explicit weights are copied: the caller's array stays writable and apart
-        explicit[0] = 5.0
-        assert weighted.weights[0] == 1.0
-
-
-    def test_default_weights_are_a_stride_zero_view(self):
-        s = uniform_samples([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert s.weights.strides == (0,) and s.weights.shape == (5,)
-        assert not s.weights.flags.writeable
-        assert np.all(s.weights == 1.0 / 5)
-        with pytest.raises(ValueError):
-            s.weights[0] = 99.0
 
     @pytest.mark.parametrize("kind", ["array", "list"])
     def test_one_n_sized_array_is_held(self, kind):
@@ -121,24 +84,6 @@ class TestSamples:
     def test_any_non_finite_value_is_named(self, values):
         with pytest.raises(DataError, match="^sample values must all be finite$"):
             Samples(np.array(values))
-
-    @pytest.mark.parametrize("weights, message", [
-        ([1.0, 1.0, np.nan], "weights must all be finite"),
-        ([-np.inf, 1.0, 1.0], "weights must all be finite"),
-        ([np.nan, -1.0, 1.0], "weights must all be finite"),
-        ([1.0, 2.0, -0.5], "weights must be nonnegative"),
-        ([-0.0, 0.0, 0.0], "at least one weight must be positive"),
-    ])
-    def test_weight_messages(self, weights, message):
-        with pytest.raises(DataError, match=f"^{message}$"):
-            Samples([0.0, 1.0, 2.0], weights)
-
-    def test_listed_weights_are_copied_read_only(self):
-        s = Samples([0.0, 1.0, 2.0], [1.0, 2.0, 1.0])
-        assert isinstance(s.weights, np.ndarray) and not s.weights.flags.writeable
-        assert s.weights.strides == (8,)
-        assert build_histogram(s, 3).heights == pytest.approx([0.375, 0.75, 0.375])
-
 
 class TestBinRule:
     def test_parse_label_round_trip(self):
@@ -639,12 +584,11 @@ class TestBuildHistogram:
         assert hist.heights == pytest.approx([0.75, 0.0, 0.25], abs=1e-15)
 
     def test_matches_counting_oracle_with_weights(self):
+        # each sample weighs 1/N in the oracle, as in the histogram
         rng = np.random.default_rng(8)
         values = rng.uniform(-2.0, 5.0, size=300)
-        weights = rng.uniform(0.1, 3.0, size=300)
-        s = Samples(values, weights=weights)
-        hist = build_histogram(s, 13)
-        expected_masses = oracle_masses(values, weights, hist.edges)
+        hist = build_histogram(uniform_samples(values), 13)
+        expected_masses = oracle_masses(values, np.full(300, 1.0 / 300), hist.edges)
         expected_heights = expected_masses / (expected_masses.sum() * hist.widths)
         assert hist.heights == pytest.approx(expected_heights, rel=1e-12)
 
@@ -671,42 +615,28 @@ class TestBuildHistogram:
         rng.shuffle(shuffled)
         a = build_histogram(uniform_samples(values), 11)
         b = build_histogram(uniform_samples(shuffled), 11)
-        # uniform weights are all equal, so bin sums match bit for bit
+        # every sample has mass 1/N, so bin sums match bit for bit
         assert np.array_equal(a.heights, b.heights)
         assert np.array_equal(a.edges, b.edges)
 
-    def test_permutation_invariance_custom_weights(self):
-        rng = np.random.default_rng(13)
-        values = rng.normal(size=400)
-        weights = rng.uniform(0.5, 2.0, size=400)
-        order = rng.permutation(400)
-        a = build_histogram(Samples(values, weights=weights), 11)
-        b = build_histogram(Samples(values[order], weights=weights[order]), 11)
-        assert a.heights == pytest.approx(b.heights, rel=1e-13)
-
-    @pytest.mark.parametrize("size", [65_535, 65_536, 65_537, 200_001])
-    @pytest.mark.parametrize("weighting", ["default", "equal", "unequal"])
+    # sizes below one block, at it and across it
+    @pytest.mark.parametrize("size", [2, 1_000, 65_535, 65_536, 65_537, 200_001])
+    @pytest.mark.parametrize("weighting", ["default"])
     def test_masses_equal_numpy_histogram_bits(self, size, weighting):
         rng = np.random.default_rng(size)
         # two decimals: many ties, and samples on the edges of B = 60
         values = np.round(rng.normal(size=size), 2)
         values[:2] = -3.0, 3.0
-        weights = {"default": None, "equal": np.full(size, 0.3),
-                   "unequal": rng.uniform(0.1, 2.0, size=size)}[weighting]
-        s = Samples(values, weights=weights)
+        s = Samples(values)
         for bins in (7, 60, 1000):
             hist = build_histogram(s, bins)
-            masses, _ = np.histogram(values, bins=hist.edges, weights=s.weights)
+            masses, _ = np.histogram(values, bins=hist.edges, weights=np.full(size, 1.0 / size))
             expected = masses / (masses.sum() * np.diff(hist.edges))
             assert np.array_equal(hist.heights, expected)
 
     def test_zero_range(self):
         with pytest.raises(DataError, match="range"):
             build_histogram(uniform_samples([4.0, 4.0, 4.0]), 3)
-
-    def test_zero_range_with_unequal_weights(self):
-        with pytest.raises(DataError, match="all samples are equal; data range is zero"):
-            build_histogram(Samples([4.0, 4.0, 4.0], weights=[1.0, 2.0, 3.0]), 3)
 
     def test_bad_bin_count(self):
         with pytest.raises(DataError, match="bin_count"):
