@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .histogram import _frozen_array, _size
+from .histogram import _frozen_array, _size, _trusted
 
 __all__ = [
     "BrakingScenario",
@@ -128,21 +128,12 @@ class TimeSeries:
     x: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        x = np.asarray(self.x, dtype=float)
+        t, x = _frozen_array(self.t), _frozen_array(self.x)
         if t.ndim != 1 or t.shape != x.shape:
             raise DataError("t and x must be 1-d arrays of equal length >= 2")
         _check_traces(t, x, np.array([t.size]))
-        object.__setattr__(self, "t", _frozen_array(t))
-        object.__setattr__(self, "x", _frozen_array(x))
-
-    @classmethod
-    def _checked(cls, t: np.ndarray, x: np.ndarray) -> "TimeSeries":
-        """A series of read-only arrays that already passed :func:`_check_traces`."""
-        series = object.__new__(cls)
-        object.__setattr__(series, "t", t)
-        object.__setattr__(series, "x", x)
-        return series
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "x", x)
 
     def __len__(self) -> int:
         return self.t.size
@@ -198,7 +189,7 @@ def _simulate(v0: np.ndarray, t_react: np.ndarray, decel: np.ndarray,
     _check_traces(t, x, lengths)
     t.setflags(write=False)
     x.setflags(write=False)
-    return [TimeSeries._checked(t[:n], x[start:start + n])
+    return [_trusted(TimeSeries, t=t[:n], x=x[start:start + n])
             for start, n in zip(starts.tolist(), lengths.tolist())]
 
 

@@ -9,9 +9,9 @@ which makes the derivative locally negative; the library reports this
 (see :meth:`PdfEstimate.min_density`) and never clips, since clipping
 would break both the per-bin identity and the normalization.
 
-A :class:`PdfEstimate` is its histogram, bin rule and boundary
-condition: it fits its spline to :func:`cumulative_masses` of the
-histogram it holds, so the edges are stored, and checked, once.
+A :class:`PdfEstimate` fits its spline to :func:`cumulative_masses` of
+the histogram it holds; the spline's knots are the histogram's edges,
+stored once and checked by :class:`Histogram` and the fit's input check.
 """
 
 from __future__ import annotations

@@ -42,9 +42,39 @@ NORMALIZATION_TOL = 1e-12
 
 
 def _frozen_array(values) -> np.ndarray:
+    """``values`` as a read-only float64 array owning its data: as is, or a copy."""
+    if (type(values) is np.ndarray and values.dtype == np.float64
+            and values.base is None and not values.flags.writeable):
+        return values
     out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _checked_knots(values, name: str, strict: bool = True) -> np.ndarray:
+    """The knot and edge contract: ``_frozen_array(values)`` if it is 1-d, of
+    at least 2 finite values, increasing (strictly, unless ``strict`` is
+    False) with finite steps; :class:`DataError` naming ``name`` otherwise."""
+    knots = _frozen_array(values)
+    if knots.ndim != 1 or knots.size < 2:
+        raise DataError(f"{name} must be a 1-d array of at least 2 values")
+    if not np.all(np.isfinite(knots)):
+        raise DataError(f"{name} must be finite")
+    with np.errstate(over="ignore"):  # an infinite step is reported below
+        steps = np.diff(knots)
+    if np.any((steps <= 0.0) if strict else (steps < 0.0)):
+        raise DataError(f"{name} must be {'strictly increasing' if strict else 'non-decreasing'}")
+    if not np.all(np.isfinite(steps)):
+        raise DataError(f"a step of {name} overflows the float range")
+    return knots
+
+
+def _trusted(cls, **fields):
+    """Dataclass ``cls`` holding ``fields`` that passed its checks: no copy, no check."""
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(instance, name, value)
+    return instance
 
 
 def _size(value, name: str, lo: int, hi: int | None = None) -> int:
@@ -59,7 +89,7 @@ def _size(value, name: str, lo: int, hi: int | None = None) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Samples:
-    """Observation vector, held as one read-only copy of its values.
+    """Observation vector, held as one read-only float64 array of its values.
 
     Values must be finite, not all equal, with a finite spread
     ``max - min``, which every bin rule and the histogram edges are built
@@ -171,29 +201,21 @@ class Histogram:
     heights: np.ndarray
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=float)
-        heights = np.asarray(self.heights, dtype=float)
-        if edges.ndim != 1 or edges.size < 2:
-            raise DataError("edges must be a 1-d array of at least 2 values")
+        edges = _checked_knots(self.edges, "edges")
+        heights = _frozen_array(self.heights)
         if heights.ndim != 1 or heights.size != edges.size - 1:
             raise DataError("heights must have exactly len(edges) - 1 entries")
-        if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(heights))):
-            raise DataError("histogram edges and heights must be finite")
-        with np.errstate(over="ignore"):  # an infinite width is reported below
-            widths = np.diff(edges)
-        if np.any(widths <= 0.0):
-            raise DataError("edges must be strictly increasing")
+        if not np.all(np.isfinite(heights)):
+            raise DataError("histogram heights must be finite")
         if np.any(heights < 0.0):
             raise DataError("heights must be nonnegative")
-        if not np.all(np.isfinite(widths)):
-            raise DataError("a bin width overflows the float range")
         # finite nonnegative terms: the integral is finite or +inf, never NaN
         with np.errstate(over="ignore"):
-            total = float(np.sum(heights * widths))
+            total = float(np.sum(heights * np.diff(edges)))
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise DataError(f"histogram is not normalized: integral = {total!r}")
-        object.__setattr__(self, "edges", _frozen_array(edges))
-        object.__setattr__(self, "heights", _frozen_array(heights))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "heights", heights)
 
     @property
     def bin_count(self) -> int:
@@ -473,6 +495,7 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
             f"bin density overflows: {bin_count} bins over a range of {hi - lo!r} "
             "give bin widths too narrow for a finite height"
         )
+    heights.setflags(write=False)  # kept as is; linspace's edges are a view, so copied
     return Histogram(edges=edges, heights=heights)
 
 

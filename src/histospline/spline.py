@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError, NumericError, OutOfSupportError
-from .histogram import _frozen_array
+from .histogram import _checked_knots, _frozen_array, _trusted
 
 __all__ = [
     "Boundary",
@@ -62,14 +62,7 @@ class Boundary(str, Enum):
 
 def as_knot_vector(tau) -> np.ndarray:
     """Validate and return a knot vector as a read-only float array."""
-    arr = _frozen_array(tau)
-    if arr.ndim != 1 or arr.size < 2:
-        raise DataError("knot vector must be 1-d with at least 2 knots")
-    if not np.all(np.isfinite(arr)):
-        raise DataError("knots must be finite")
-    if np.any(np.diff(arr) < 0.0):
-        raise DataError("knot vector must be non-decreasing")
-    return arr
+    return _checked_knots(tau, "knot vector", strict=False)
 
 
 def bspline_basis(i: int, p: int, tau, u: float) -> float:
@@ -145,18 +138,14 @@ class CubicSplineModel:
     boundary: Boundary
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if knots.ndim != 1 or knots.size < 2:
-            raise DataError("need at least 2 knots")
-        if np.any(np.diff(knots) <= 0.0):
-            raise DataError("knots must be strictly increasing")
+        knots = _checked_knots(self.knots, "knots")
+        coeffs = _frozen_array(self.coefficients)
         if coeffs.shape != (knots.size - 1, 4):
             raise DataError(f"coefficients must have shape ({knots.size - 1}, 4)")
-        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(coeffs))):
-            raise DataError("knots and coefficients must be finite")
-        object.__setattr__(self, "knots", _frozen_array(knots))
-        object.__setattr__(self, "coefficients", _frozen_array(coeffs))
+        if not np.all(np.isfinite(coeffs)):
+            raise DataError("coefficients must be finite")
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "boundary", Boundary(self.boundary))
 
     @property
@@ -224,7 +213,7 @@ def fit_interpolating_spline(x, F, boundary: Boundary | str) -> CubicSplineModel
     ------
     DataError
         If the inputs are not finite, of unequal length, too short for the
-        boundary, or ``x`` is not strictly increasing.
+        boundary, or ``x`` is not strictly increasing with finite steps.
     NumericError
         If the moments or coefficients come out non-finite, which happens
         when the slopes ``diff(F) / diff(x)``, their differences or the
@@ -242,19 +231,14 @@ def fit_interpolating_spline(x, F, boundary: Boundary | str) -> CubicSplineModel
     the solve needs no pivoting.
     """
     boundary = Boundary(boundary)
-    x = np.asarray(x, dtype=float)
+    x = _checked_knots(x, "x")
     F = np.asarray(F, dtype=float)
-    if x.ndim != 1 or F.shape != x.shape:
+    if F.shape != x.shape:
         raise DataError("x and F must be 1-d arrays of equal length")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(F))):
+    if not np.all(np.isfinite(F)):
         raise DataError("x and F must be finite")
-    m = x.size
-    if m < 2:
-        raise DataError("need at least 2 interpolation points")
-    if boundary is Boundary.NOT_A_KNOT and m < 4:
-        raise DataError(f"not-a-knot needs at least 4 knots (3 bins), got {m}")
-    if np.any(np.diff(x) <= 0.0):
-        raise DataError("x must be strictly increasing")
+    if boundary is Boundary.NOT_A_KNOT and x.size < 4:
+        raise DataError(f"not-a-knot needs at least 4 knots (3 bins), got {x.size}")
 
     # overflow surfaces as non-finite coefficients, reported below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -272,7 +256,8 @@ def fit_interpolating_spline(x, F, boundary: Boundary | str) -> CubicSplineModel
             f"spline coefficients are not finite for boundary {boundary.value}: "
             "the slopes or curvatures of the data exceed the float range"
         )
-    return CubicSplineModel(knots=x, coefficients=coefficients, boundary=boundary)
+    coefficients.setflags(write=False)
+    return _trusted(CubicSplineModel, knots=x, coefficients=coefficients, boundary=boundary)
 
 
 def _solve_moments(h: np.ndarray, slopes: np.ndarray, boundary: Boundary) -> np.ndarray:

@@ -11,6 +11,7 @@ from scipy.stats import norm
 from histospline import (
     BinRule,
     Boundary,
+    CubicSplineModel,
     DataError,
     DisjointSupportsError,
     Histogram,
@@ -29,6 +30,8 @@ from histospline import (
     select_bin_count,
 )
 import histospline.estimator as estimator_module
+import histospline.histogram as histogram_module
+import histospline.spline as spline_module
 from histospline.estimator import MAX_GRID_SIZE
 
 ALL_BOUNDARIES = (Boundary.CLAMPED, Boundary.NATURAL, Boundary.NOT_A_KNOT)
@@ -388,6 +391,42 @@ class TestTurningPoints:
         est = estimate_pdf(Samples(np.array([0.0, 1.0, 2.0])), BinRule.fixed(1), "natural")
         with pytest.raises(DataError, match="grid_size"):
             count_turning_points(est, grid_size=2)
+
+
+class TestOneArrayOneCheck:
+    """An estimate holds each array once and checks its edges twice: in
+    Histogram and in the fit's check of its public inputs."""
+
+    @pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
+    def test_spline_knots_are_the_histogram_edges(self, boundary):
+        draws = np.random.default_rng(5).normal(size=2000)
+        est = estimate_pdf(Samples(draws), BinRule.sturges(), boundary)
+        assert est.spline.knots is est.histogram.edges
+
+    def test_fitted_spline_is_not_checked_again(self, monkeypatch):
+        def refuse(model):
+            raise AssertionError("CubicSplineModel.__post_init__ ran")
+
+        monkeypatch.setattr(CubicSplineModel, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="__post_init__ ran"):
+            CubicSplineModel(knots=np.array([0.0, 1.0]), coefficients=np.zeros((1, 4)),
+                             boundary="natural")
+        draws = np.random.default_rng(6).normal(size=2000)
+        est = estimate_pdf(Samples(draws), BinRule.knuth(), "not-a-knot")
+        assert isinstance(est.spline, CubicSplineModel)
+
+    def test_edges_are_checked_twice(self, monkeypatch):
+        checked, check = [], histogram_module._checked_knots
+
+        def counting(values, name, strict=True):
+            checked.append(name)
+            return check(values, name, strict)
+
+        for module in (histogram_module, spline_module):
+            monkeypatch.setattr(module, "_checked_knots", counting)
+        estimate_pdf(Samples(np.random.default_rng(7).normal(size=2000)), BinRule.scott(),
+                     "clamped")
+        assert checked == ["edges", "x"]
 
 
 def test_array_holding_values_compare_and_hash_by_identity():

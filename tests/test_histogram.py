@@ -669,7 +669,7 @@ class TestBuildHistogram:
         ([0.0, 1.0, 2.0], [1.5, -0.5], "heights must be nonnegative"),
         # a numpy RuntimeWarning fails these too (pyproject.toml): an overflowing
         # width must be rejected before it makes a nan integral
-        ([-1e308, 1e308, 1.5e308], [0.0, 2e-308], "a bin width overflows the float range"),
+        ([-1e308, 1e308, 1.5e308], [0.0, 2e-308], "a step of edges overflows the float range"),
         ([1e308, -1e308], [1.0], "edges must be strictly increasing"),
         ([0.0, 1e300, 2e300], [1e300, 1e300], "not normalized: integral = inf$"),
     ])
@@ -694,6 +694,29 @@ def test_size_rule_rejects(value, lo, hi, message):
 def test_size_rule_returns_a_python_int(value):
     size = histogram_module._size(value, "n", 1, 4)
     assert size == value and type(size) is int
+
+
+def read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+@pytest.mark.parametrize("values", [
+    np.arange(3.0),                         # writable
+    read_only(np.arange(4.0)[1:]),          # read-only view of a writable base
+    read_only(np.arange(3, dtype=np.float32)),
+    [0.0, 1.0, 2.0],
+], ids=["writable", "read-only-view", "float32", "list"])
+def test_frozen_array_copies_what_it_cannot_keep(values):
+    frozen = histogram_module._frozen_array(values)
+    assert frozen is not values and not np.shares_memory(frozen, np.asarray(values))
+    assert frozen.dtype == np.float64 and frozen.base is None and not frozen.flags.writeable
+    assert np.array_equal(frozen, values)
+
+
+def test_frozen_array_keeps_an_owned_read_only_float64_array():
+    values = read_only(np.arange(3.0))
+    assert histogram_module._frozen_array(values) is values
 
 
 @given(

@@ -136,6 +136,9 @@ class TestBasisFunction:
             as_knot_vector([0.0, np.inf])
         with pytest.raises(DataError):
             as_knot_vector([1.0])
+        # the step overflows: no RuntimeWarning, and not accepted as non-decreasing
+        with pytest.raises(DataError, match="overflows the float range"):
+            as_knot_vector([-1e308, 1e308])
 
 
 class TestBasisDerivative:
@@ -321,6 +324,8 @@ class TestFitInterpolatingSpline:
             fit_interpolating_spline([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], Boundary.NATURAL)
         with pytest.raises(DataError, match="increasing"):
             fit_interpolating_spline([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], Boundary.NATURAL)
+        with pytest.raises(DataError, match="overflows the float range"):
+            fit_interpolating_spline([-1e308, 1e308], [0.0, 1.0], Boundary.NATURAL)
 
     def test_mismatched_lengths(self):
         with pytest.raises(DataError, match="equal length"):
@@ -497,10 +502,11 @@ class TestModelEvaluation:
         assert model.derivative(float(mids[0]), 3) == expected[0]
 
     @pytest.mark.parametrize("knots, coefficients, message", [
-        ([0.0], np.zeros((0, 4)), "need at least 2 knots"),
+        ([0.0], np.zeros((0, 4)), "knots must be a 1-d array of at least 2 values"),
         ([0.0, 1.0, 1.0], np.zeros((2, 4)), "knots must be strictly increasing"),
         ([0.0, 1.0, 2.0], np.zeros((2, 3)), r"coefficients must have shape \(2, 4\)"),
-        ([0.0, 1.0], [[0.0, np.nan, 0.0, 0.0]], "knots and coefficients must be finite"),
+        ([0.0, 1.0], [[0.0, np.nan, 0.0, 0.0]], "coefficients must be finite"),
+        ([-1e308, 1e308], np.zeros((1, 4)), "a step of knots overflows the float range"),
     ])
     def test_malformed_model_rejected(self, knots, coefficients, message):
         with pytest.raises(DataError, match=message):
