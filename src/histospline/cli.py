@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import warnings
 from array import array
@@ -44,6 +43,7 @@ from .histogram import (
     DEFAULT_KNUTH_SEARCH_MAX,
     BinRule,
     Samples,
+    _checked_knots,
     _size,
     build_histogram,
     select_bin_count,
@@ -298,12 +298,7 @@ def _read_finite(path: str, *columns: str, limit: int) -> np.ndarray:
 
 def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
     u, pdf = _read_finite(path, "u", "pdf", limit=MAX_GRID_SIZE)
-    if np.any(u[1:] <= u[:-1]):
-        raise DataError(f"{path}: curve grid must be strictly increasing")
-    lo, hi = float(u[0]), float(u[-1])
-    if not math.isfinite(hi - lo):
-        raise DataError(f"{path}: curve grid span {lo!r} to {hi!r} overflows the float range")
-    return u, pdf
+    return _checked_knots(u, f"{path}: curve grid"), pdf
 
 
 def cmd_generate(config: RunConfig) -> int:

@@ -52,20 +52,20 @@ def _frozen_array(values) -> np.ndarray:
 
 
 def _checked_knots(values, name: str, strict: bool = True) -> np.ndarray:
-    """The knot and edge contract: ``_frozen_array(values)`` if it is 1-d, of
-    at least 2 finite values, increasing (strictly, unless ``strict`` is
-    False) with finite steps; :class:`DataError` naming ``name`` otherwise."""
+    """The grid contract: ``_frozen_array(values)`` if it is 1-d, of at least
+    2 finite values, increasing (strictly, unless ``strict`` is False) over
+    a finite span, which bounds the difference of any two of them;
+    :class:`DataError` naming ``name`` otherwise."""
     knots = _frozen_array(values)
     if knots.ndim != 1 or knots.size < 2:
         raise DataError(f"{name} must be a 1-d array of at least 2 values")
     if not np.all(np.isfinite(knots)):
         raise DataError(f"{name} must be finite")
-    with np.errstate(over="ignore"):  # an infinite step is reported below
-        steps = np.diff(knots)
-    if np.any((steps <= 0.0) if strict else (steps < 0.0)):
+    if np.any((knots[1:] <= knots[:-1]) if strict else (knots[1:] < knots[:-1])):
         raise DataError(f"{name} must be {'strictly increasing' if strict else 'non-decreasing'}")
-    if not np.all(np.isfinite(steps)):
-        raise DataError(f"a step of {name} overflows the float range")
+    lo, hi = float(knots[0]), float(knots[-1])
+    if not math.isfinite(hi - lo):
+        raise DataError(f"{name} span {lo!r} to {hi!r} overflows the float range")
     return knots
 
 
@@ -267,6 +267,8 @@ def select_bin_count(samples: Samples, rule: BinRule) -> int:
         return math.ceil(math.log2(n)) + 1
     if rule.tag == "fixed":
         return rule.fixed_count
+    if rule.tag == "knuth":
+        return _knuth_scan(values, rule.knuth_search_max)
 
     lo, hi = float(values.min()), float(values.max())
     if rule.tag == "scott":
@@ -282,8 +284,6 @@ def select_bin_count(samples: Samples, rule: BinRule) -> int:
         if iqr == 0.0:
             raise DataError("zero interquartile range; Freedman-Diaconis rule is undefined")
         width = 2.0 * iqr * n ** (-1.0 / 3.0)
-    else:
-        return _knuth_scan(values, rule.knuth_search_max)
     if width == math.inf:
         raise DataError(
             f"the {rule.tag} rule's bin width overflows the float range; the data spread "

@@ -213,7 +213,7 @@ def fit_interpolating_spline(x, F, boundary: Boundary | str) -> CubicSplineModel
     ------
     DataError
         If the inputs are not finite, of unequal length, too short for the
-        boundary, or ``x`` is not strictly increasing with finite steps.
+        boundary, or ``x`` is not strictly increasing over a finite span.
     NumericError
         If the moments or coefficients come out non-finite, which happens
         when the slopes ``diff(F) / diff(x)``, their differences or the

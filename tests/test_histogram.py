@@ -669,9 +669,14 @@ class TestBuildHistogram:
         ([0.0, 1.0, 2.0], [1.5, -0.5], "heights must be nonnegative"),
         # a numpy RuntimeWarning fails these too (pyproject.toml): an overflowing
         # width must be rejected before it makes a nan integral
-        ([-1e308, 1e308, 1.5e308], [0.0, 2e-308], "a step of edges overflows the float range"),
+        ([-1e308, 1e308, 1.5e308], [0.0, 2e-308], "edges span .+ overflows the float range"),
         ([1e308, -1e308], [1.0], "edges must be strictly increasing"),
         ([0.0, 1e300, 2e300], [1e300, 1e300], "not normalized: integral = inf$"),
+        # finite steps, overflowing span: rejected although the integral is 1
+        ([-1e308, 0.0, 1e308], [5e-309, 5e-309], "edges span .+ overflows the float range"),
+        # a NaN height passes both the sign test and the normalization test
+        ([0.0, 1.0, 2.0], [np.nan, 1.0], "histogram heights must be finite"),
+        ([0.0, 1.0, 2.0], [np.inf, 0.0], "histogram heights must be finite"),
     ])
     def test_malformed_histogram_rejected(self, edges, heights, message):
         with pytest.raises(DataError, match=message):

@@ -139,6 +139,14 @@ class TestBasisFunction:
         # the step overflows: no RuntimeWarning, and not accepted as non-decreasing
         with pytest.raises(DataError, match="overflows the float range"):
             as_knot_vector([-1e308, 1e308])
+        # finite steps, overflowing span
+        with pytest.raises(DataError, match="knot vector span"):
+            as_knot_vector([-1e308, 0.0, 1e308])
+        # the recursion subtracts knots p + 1 apart: no RuntimeWarning and no
+        # wrong value (0.0 for 0.5), but the span is rejected
+        for basis in (bspline_basis, bspline_basis_derivative):
+            with pytest.raises(DataError, match="knot vector span"):
+                basis(0, 2, [-1e308, 0.0, 1e308, 1e308], 0.0)
 
 
 class TestBasisDerivative:
@@ -326,6 +334,8 @@ class TestFitInterpolatingSpline:
             fit_interpolating_spline([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], Boundary.NATURAL)
         with pytest.raises(DataError, match="overflows the float range"):
             fit_interpolating_spline([-1e308, 1e308], [0.0, 1.0], Boundary.NATURAL)
+        with pytest.raises(DataError, match="^x span .+ overflows the float range"):
+            fit_interpolating_spline([-1e308, 0.0, 1e308], [0.0, 0.5, 1.0], Boundary.NATURAL)
 
     def test_mismatched_lengths(self):
         with pytest.raises(DataError, match="equal length"):
@@ -506,7 +516,8 @@ class TestModelEvaluation:
         ([0.0, 1.0, 1.0], np.zeros((2, 4)), "knots must be strictly increasing"),
         ([0.0, 1.0, 2.0], np.zeros((2, 3)), r"coefficients must have shape \(2, 4\)"),
         ([0.0, 1.0], [[0.0, np.nan, 0.0, 0.0]], "coefficients must be finite"),
-        ([-1e308, 1e308], np.zeros((1, 4)), "a step of knots overflows the float range"),
+        ([-1e308, 1e308], np.zeros((1, 4)), "knots span .+ overflows the float range"),
+        ([-1e308, 0.0, 1e308], np.zeros((2, 4)), "knots span .+ overflows the float range"),
     ])
     def test_malformed_model_rejected(self, knots, coefficients, message):
         with pytest.raises(DataError, match=message):
