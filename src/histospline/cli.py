@@ -351,12 +351,9 @@ def cmd_estimate(config: RunConfig) -> int:
     hist = build_histogram(samples, select_bin_count(samples, rule))
     estimate = estimate_from_histogram(hist, rule, config.bc)
     lo, hi = estimate.support
-    u = np.linspace(lo, hi, config.grid)
-    # compare reads curve.csv back and needs a strictly increasing grid
-    if np.any(np.diff(u) <= 0.0):
-        raise DataError(
-            f"the support [{lo!r}, {hi!r}] is too narrow for {config.grid} distinct grid points"
-        )
+    # compare reads curve.csv back through the same grid contract
+    u = _checked_knots(np.linspace(lo, hi, config.grid),
+                       f"the {config.grid}-point curve grid over the support [{lo!r}, {hi!r}]")
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

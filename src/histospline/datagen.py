@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .histogram import _frozen_array, _size, _trusted
+from .histogram import _checked_knots, _frozen_array, _size, _trusted
 
 __all__ = [
     "BrakingScenario",
@@ -141,13 +141,12 @@ class TimeSeries:
 
 def _check_traces(t: np.ndarray, x: np.ndarray, lengths: np.ndarray) -> None:
     """The :class:`TimeSeries` contract for series laid end to end in ``x``,
-    ``lengths[i]`` samples each, whose sample times are prefixes of ``t``."""
+    ``lengths[i]`` samples each, whose times, prefixes of ``t``, pass the grid contract."""
     if lengths.min() < 2:
         raise DataError("t and x must be 1-d arrays of equal length >= 2")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(x))):
+    _checked_knots(t, "sample times", strict=False)
+    if not np.all(np.isfinite(x)):
         raise DataError("time series must be finite")
-    if np.any(np.diff(t) < 0.0):
-        raise DataError("sample times must be non-decreasing")
     starts = np.cumsum(lengths) - lengths
     if np.any(x[starts] != 0.0):
         raise DataError("position trace must start at 0")
@@ -171,24 +170,26 @@ def _simulate(v0: np.ndarray, t_react: np.ndarray, decel: np.ndarray,
     lengths = np.ceil((t_react + v0 / decel) / dt).astype(np.int64) + 1
     ends = np.cumsum(lengths)
     starts = ends - lengths
-    t = np.arange(lengths.max()) * dt
     x = np.empty(int(ends[-1]))
     stop = v0 / decel
-    reaction_distance = v0 * t_react
     half_decel = 0.5 * decel
-    for lo in range(0, x.size, CORPUS_BLOCK):
-        index = np.arange(lo, min(lo + CORPUS_BLOCK, x.size))
-        series = np.searchsorted(ends, index, side="right")
-        tb = t[index - starts[series]]
-        v0b, t_react_b = v0[series], t_react[series]
-        # Clamping the braking-phase offset at the stop keeps the sampled
-        # positions monotone through the rest phase.
-        s = np.clip(tb - t_react_b, 0.0, stop[series])
-        braking = reaction_distance[series] + v0b * s - half_decel[series] * s**2
-        x[lo:lo + index.size] = np.where(tb <= t_react_b, v0b * tb, braking)
-    _check_traces(t, x, lengths)
+    # overflow leaves inf or nan in t or x, which _check_traces rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.arange(lengths.max()) * dt
+        reaction_distance = v0 * t_react
+        for lo in range(0, x.size, CORPUS_BLOCK):
+            index = np.arange(lo, min(lo + CORPUS_BLOCK, x.size))
+            series = np.searchsorted(ends, index, side="right")
+            tb = t[index - starts[series]]
+            v0b, t_react_b = v0[series], t_react[series]
+            # Clamping the braking-phase offset at the stop keeps the sampled
+            # positions monotone through the rest phase.
+            s = np.clip(tb - t_react_b, 0.0, stop[series])
+            braking = reaction_distance[series] + v0b * s - half_decel[series] * s**2
+            x[lo:lo + index.size] = np.where(tb <= t_react_b, v0b * tb, braking)
     t.setflags(write=False)
     x.setflags(write=False)
+    _check_traces(t, x, lengths)
     return [_trusted(TimeSeries, t=t[:n], x=x[start:start + n])
             for start, n in zip(starts.tolist(), lengths.tolist())]
 

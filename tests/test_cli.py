@@ -575,8 +575,8 @@ class TestEstimate:
         assert main(["estimate", "--input", str(path), "--rule", "sturges", "--bc", "not-a-knot",
                      "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == ("error: the support [52.49195437421315, 52.491954374213186] is too narrow "
-                       "for 1001 distinct grid points\n")
+        assert err == ("error: the 1001-point curve grid over the support [52.49195437421315, "
+                       "52.491954374213186] must be strictly increasing\n")
         assert not out.exists()
 
     def test_non_finite_spline_is_a_numeric_error(self, tmp_path, capsys):

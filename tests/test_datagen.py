@@ -117,10 +117,20 @@ class TestTimeSeriesValidation:
         ([0.0, 1.0, 2.0], [0.0, np.inf, np.inf], "finite"),
         ([0.0, np.nan, 2.0], [0.0, 1.0, 2.0], "finite"),
         ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], "sample times must be non-decreasing"),
+        ([0.0, np.inf], [0.0, 1.0], "sample times must be finite"),
+        ([-1e308, 1e308], [0.0, 1.0], "sample times span .* overflows the float range"),
+        # generated traces beyond the float range (x = None): the scenario is
+        # simulated, and its overflow is this error, not a RuntimeWarning
+        (BrakingScenario(v0=1e200, t_react=1.0, decel=1e-100, dt=1e293), None,
+         "time series must be finite"),
+        (BrakingScenario(v0=1e300, t_react=1e300, decel=1.0, dt=1e299), None,
+         "time series must be finite"),
+        (BrakingScenario(v0=1.5e308, t_react=0.0, decel=1.0, dt=1e308), None,
+         "sample times must be finite"),
     ])
     def test_rejects_bad_traces(self, t, x, message):
         with pytest.raises(DataError, match=message):
-            TimeSeries(t=np.array(t), x=np.array(x))
+            simulate_braking(t) if x is None else TimeSeries(t=np.array(t), x=np.array(x))
 
 
 class TestGenerateCorpus:

@@ -1,9 +1,12 @@
-"""The CLI's exit-code contract as a property of ``estimate --input``.
+"""The CLI's exit-code contract as a property of ``estimate --input`` and
+of the generator flags of ``generate`` and ``estimate --simulate``.
 
 On any column, under every bin rule and boundary, ``estimate`` either
 succeeds (exit 0, no numpy warning, and ``compare`` accepts the curve it
 wrote) or fails with a typed error: exit 1 (usage), 2 (data) or 3
-(numeric), one ``error:`` line on stderr and no traceback.
+(numeric), one ``error:`` line on stderr and no traceback.  On any
+scenario ranges, ``generate`` and ``estimate --simulate`` either succeed
+with no numpy warning or fail with one such typed error.
 
 The columns are drawn where floats misbehave: a few ulps wide, subnormal,
 tiny and huge magnitudes, and heavy tails.  The paper's per-bin identity
@@ -56,6 +59,21 @@ def columns(draw):
     return values.tolist()
 
 
+@st.composite
+def generator_flags(draw):
+    """Flags for 1-3 series of one scenario: speed and deceleration
+    10**U(-300, 300), reaction time 0 or drawn the same way, and a sample
+    interval that splits the stop time into 1-2,000 steps, so no corpus
+    holds more than about 6,000 samples."""
+    magnitude = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+    v0, decel = draw(magnitude), draw(magnitude)
+    t_react = draw(st.one_of(st.just(0.0), magnitude))
+    dt = (t_react + v0 / decel) / draw(st.integers(1, 2000))
+    return ["--count", str(draw(st.integers(1, 3))), "--v0-range", repr(v0), repr(v0),
+            "--t-react-range", repr(t_react), repr(t_react),
+            "--decel-range", repr(decel), repr(decel), "--dt", repr(dt)]
+
+
 def run(argv):
     """``main(argv)`` with numpy warnings raised as errors: its exit code,
     stdout and stderr."""
@@ -81,6 +99,20 @@ def test_estimate_exits_with_a_result_or_one_typed_error(rule, boundary, values)
             assert err == ""
             curve = str(out / "curve.csv")
             assert run(["compare", curve, curve])[0] == 0
+        else:
+            assert code in (1, 2, 3)
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["generate"], ["estimate", "--simulate"]])
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(flags=generator_flags())
+def test_generator_flags_exit_with_a_result_or_one_typed_error(command, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, err = run(command + flags + ["--out-dir", str(Path(tmp) / "out")])
+        if code == 0:
+            assert err == ""
         else:
             assert code in (1, 2, 3)
             assert err.startswith("error: ") and err.count("\n") == 1
