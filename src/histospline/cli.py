@@ -85,6 +85,9 @@ class RunConfig:
 
     def __post_init__(self):
         # every command checks every setting, so a bad value fails fast
+        for key in ("input", "out_dir", "curve_a", "curve_b"):
+            if "\0" in (getattr(self, key) or ""):
+                raise UsageError(f"{key} path holds a NUL byte: {getattr(self, key)!r}")
         try:
             _size(self.grid, "grid size", 2, MAX_GRID_SIZE)
             _size(self.count, "count", 1)

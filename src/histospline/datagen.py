@@ -88,7 +88,9 @@ class ScenarioRanges:
             raise DataError("t_react range must be nonnegative")
         if self.decel[0] <= 0.0:
             raise DataError("decel range must be positive")
-        if not math.isfinite(self.dt) or self.dt <= 0.0:
+        if not math.isfinite(self.dt):
+            raise DataError(f"dt must be finite, got {self.dt!r}")
+        if self.dt <= 0.0:
             raise DataError("dt must be positive")
         if not math.isfinite(self.t_react[1] + self.v0[1] / self.decel[0]):
             raise DataError("the longest stop time, t_react max + v0 max / decel min, overflows")

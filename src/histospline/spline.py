@@ -169,7 +169,7 @@ class CubicSplineModel:
     def __call__(self, u):
         """Spline value at ``u`` (scalar or array)."""
         idx, s = self._local(u)
-        c0, c1, c2, c3 = self.coefficients[idx].T
+        c0, c1, c2, c3 = self.coefficients.take(idx, axis=0).T
         val = c0 + s * (c1 + s * (c2 + s * c3))
         return float(val) if np.ndim(u) == 0 else val
 
@@ -178,7 +178,7 @@ class CubicSplineModel:
         if order not in (1, 2, 3):
             raise DataError("derivative order must be 1, 2, or 3")
         idx, s = self._local(u)
-        _, c1, c2, c3 = self.coefficients[idx].T
+        _, c1, c2, c3 = self.coefficients.take(idx, axis=0).T
         if order == 1:
             val = c1 + s * (2.0 * c2 + 3.0 * c3 * s)
         elif order == 2:

@@ -836,6 +836,25 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("error: " + message.format(path=config_path))
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, config, key", [
+        (["generate"], {"out_dir": "a\u0000b"}, "out_dir"),
+        (["estimate", "--simulate", "--count", "3"], {"out_dir": "a\u0000b"}, "out_dir"),
+        (["estimate"], {"input": "d/corpus.csv\u0000"}, "input"),
+    ], ids=["generate-out-dir", "estimate-out-dir", "estimate-input"])
+    def test_nul_byte_in_a_config_path_is_a_usage_error(self, tmp_path, capsys, argv, config, key):
+        # argv cannot carry a NUL, a JSON string can
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        assert main([*argv, "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == f"error: {key} path holds a NUL byte: {config[key]!r}\n"
+
+    @pytest.mark.parametrize("dt", ["inf", "nan"])
+    def test_non_finite_dt_is_named_as_such(self, tmp_path, capsys, dt):
+        out = tmp_path / "out"
+        assert main(["generate", "--dt", dt, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: dt must be finite, got {float(dt)!r}\n"
+        assert not out.exists()
+
     def test_generator_ranges_flow_through(self, tmp_path):
         out = tmp_path / "ranged"
         assert main([

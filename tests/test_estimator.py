@@ -189,6 +189,43 @@ class TestPdfEvaluation:
         with pytest.raises(OutOfSupportError, match=r"evaluation point np.float64\(nan\) outside"):
             evaluate(est)
 
+    @staticmethod
+    def fitted():
+        est = estimate_pdf(Samples(np.random.default_rng(43).normal(size=5000)), BinRule.knuth(),
+                           "not-a-knot")
+        return est.spline, [(est.cdf, 0), (est, 1)]
+
+    @staticmethod
+    def constructed():
+        model = CubicSplineModel(knots=[0.0, 0.5, 2.0, 2.25], boundary="natural",
+                                 coefficients=[[0.0, 0.1, 0.7, -0.3], [0.2, 0.5, -0.2, 0.4],
+                                               [0.9, 0.3, 0.1, -0.05]])
+        return model, [(model, 0), (model.derivative, 1)]
+
+    @pytest.mark.parametrize("build", ["fitted", "constructed"])
+    def test_evaluation_keeps_the_bits_of_the_row_formula(self, build):
+        model, evaluations = getattr(self, build)()
+        evaluations += [(lambda u: model.derivative(u, order=2), 2),
+                        (lambda u: model.derivative(u, order=3), 3)]
+
+        def row_formula(u, order):
+            # the segment rows gathered as coefficients[idx]
+            u = np.asarray(u, dtype=float)
+            idx = np.clip(np.searchsorted(model.knots, u, side="right") - 1, 0,
+                          model.knots.size - 2)
+            s = u - model.knots[idx]
+            c0, c1, c2, c3 = model.coefficients[idx].T
+            return (c0 + s * (c1 + s * (c2 + s * c3)), c1 + s * (2.0 * c2 + 3.0 * c3 * s),
+                    2.0 * c2 + 6.0 * c3 * s, 6.0 * c3 + 0.0 * s)[order]
+
+        lo, hi = model.support
+        grid = np.concatenate((np.linspace(lo, hi, 10_001), model.knots))
+        for evaluate, order in evaluations:
+            for u in (grid, float(grid[1234]), float(model.knots[1]), hi):
+                got, expected = evaluate(u), row_formula(u, order)
+                assert type(got) is (float if np.ndim(u) == 0 else np.ndarray)
+                assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
     def test_cdf_recovers_profile(self):
         rng = np.random.default_rng(40)
         est = estimate_pdf(Samples(rng.normal(size=1000)), BinRule.sqrt(), "natural")

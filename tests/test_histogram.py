@@ -23,7 +23,8 @@ from histospline import (
     select_bin_count,
 )
 import histospline.histogram as histogram_module
-from histospline.histogram import MAX_BIN_COUNT, MAX_KNUTH_SEARCH
+from histospline.datagen import MAX_CORPUS_SAMPLES
+from histospline.histogram import LGAMMA_TABLE_SIZE, MAX_BIN_COUNT, MAX_KNUTH_SEARCH
 
 
 def uniform_samples(values):
@@ -429,11 +430,13 @@ def scan_vector(kind):
         # B = 101, and below that k * (delta / B) and k / B * delta differ,
         # so the branch must be chosen per B
         "subnormal-grid": lambda: np.arange(51) * 5e-324,
+        # at K = 200 most of its bin counts take Stirling terms, not the table
+        "stirling": lambda: rng.normal(size=200_000),
     }[kind]()
 
 
 SCAN_KINDS = ["normal", "bimodal", "lognormal", "cauchy", "braking", "integers", "subnormal",
-              "subnormal-grid"]
+              "subnormal-grid", "stirling"]
 
 
 class TestBatchedKnuthScan:
@@ -481,6 +484,21 @@ class TestBatchedKnuthScan:
         select_bin_count(uniform_samples(values), BinRule.knuth(60))
         assert summed == contenders
         assert len(contenders) < 60
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_interval_holds_when_every_stirling_term_errs_by_its_bound(self, sign, monkeypatch):
+        lgamma_half = histogram_module._lgamma_half
+
+        def off_by_the_bound(counts):
+            terms, slack = lgamma_half(counts)
+            return terms + sign * slack, slack
+
+        values = scan_vector("stirling")
+        counts = next(histogram_module._knuth_chunks(values, 200))[2]
+        assert np.mean(counts >= LGAMMA_TABLE_SIZE) > 0.5
+        monkeypatch.setattr(histogram_module, "_lgamma_half", off_by_the_bound)
+        exact, lower, upper = scanned_posteriors(values, 200)
+        assert all(lo <= lp <= hi for lo, lp, hi in zip(lower, exact, upper))
 
     def test_wide_scan_argmax(self):
         # knuth-mixed vectors of seed 1; under the default bound of 200 the
@@ -554,6 +572,25 @@ class TestBatchedKnuthScan:
         # 1..37 would add 0.5 MB
         assert retained < 2e6
         assert histogram_module._first_chunk_layout.cache_info().currsize == 1
+
+
+class TestLgammaTerms:
+    def test_table_is_math_lgamma_bit_for_bit(self):
+        counts = np.arange(LGAMMA_TABLE_SIZE)
+        terms, slack = histogram_module._lgamma_half(counts)
+        expected = np.array([math.lgamma(c + 0.5) for c in counts.tolist()])
+        assert np.array_equal(terms.view(np.int64), expected.view(np.int64))
+        assert not slack.any()
+
+    @pytest.mark.parametrize("counts", [
+        np.arange(LGAMMA_TABLE_SIZE, LGAMMA_TABLE_SIZE + 100_001),
+        np.unique(np.geomspace(LGAMMA_TABLE_SIZE, MAX_CORPUS_SAMPLES, 1000).astype(np.intp)),
+    ], ids=["consecutive", "log-spaced"])
+    def test_stirling_terms_lie_within_their_bound(self, counts):
+        terms, slack = histogram_module._lgamma_half(counts)
+        expected = np.array([math.lgamma(c + 0.5) for c in counts.tolist()])
+        assert np.all(slack > 0.0)
+        assert np.all(np.abs(terms - expected) <= slack)
 
 
 # direct counting oracle: half-open bins, last bin closed
