@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import warnings
 from array import array
@@ -86,8 +87,13 @@ class RunConfig:
     def __post_init__(self):
         # every command checks every setting, so a bad value fails fast
         for key in ("input", "out_dir", "curve_a", "curve_b"):
-            if "\0" in (getattr(self, key) or ""):
-                raise UsageError(f"{key} path holds a NUL byte: {getattr(self, key)!r}")
+            path = getattr(self, key) or ""
+            if "\0" in path:
+                raise UsageError(f"{key} path holds a NUL byte: {path!r}")
+            try:
+                os.fsencode(path)
+            except UnicodeEncodeError as exc:
+                raise UsageError(f"{key} path is not encodable ({exc.reason}): {path!r}") from exc
         try:
             _size(self.grid, "grid size", 2, MAX_GRID_SIZE)
             _size(self.count, "count", 1)
@@ -172,7 +178,7 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise UsageError(f"config file {path} is not UTF-8 text ({exc.reason})") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # e.g. too deep, or an int of 4,301+ digits
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
@@ -180,8 +186,9 @@ def _load_config_file(path: str) -> dict:
 
 
 def _check_config_types(file_config: dict) -> None:
-    """Reject a config-file value whose JSON type does not fit its key; the
-    exact ``type`` tests keep JSON ``true``/``false`` out of number keys."""
+    """Reject a config-file value whose JSON type does not fit its key, and
+    make the numbers of a float key floats, as its flag does; the exact
+    ``type`` tests keep JSON ``true``/``false`` out of number keys."""
     for key, value in file_config.items():
         default = RunConfig.__dataclass_fields__[key].default
         if isinstance(default, tuple):  # a range: a pair of numbers
@@ -192,6 +199,11 @@ def _check_config_types(file_config: dict) -> None:
             ok = type(value) in ((str, type(None)) if default is None else (type(default),))
         if not ok:
             raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
+        if isinstance(default, (tuple, float)):
+            try:
+                file_config[key] = np.array(value, dtype=float).tolist()
+            except OverflowError:
+                raise UsageError(f"config key {key!r} is beyond the float range: {value!r}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -402,15 +414,10 @@ def main(argv=None) -> int:
             print(json.dumps(asdict(config), indent=2))
             return 0
         return _COMMANDS[args.command](config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except (UsageError, DataError, OSError, NumericError) as exc:
+        # one line, whatever line breaks a path named in the message holds
+        print("error:", str(exc).replace("\r", r"\r").replace("\n", r"\n"), file=sys.stderr)
+        return 1 if isinstance(exc, UsageError) else 3 if isinstance(exc, NumericError) else 2
 
 
 if __name__ == "__main__":

@@ -24,46 +24,12 @@ from .errors import DataError
 from .histogram import _checked_knots, _frozen_array, _size, _trusted
 
 __all__ = [
-    "BrakingScenario",
     "ScenarioRanges",
     "TimeSeries",
     "DEFAULT_RANGES",
-    "simulate_braking",
     "generate_corpus",
     "flatten_positions",
 ]
-
-
-@dataclass(frozen=True)
-class BrakingScenario:
-    """One braking maneuver: initial speed (m/s), driver reaction time (s),
-    constant deceleration magnitude (m/s^2), and sample interval (s)."""
-
-    v0: float
-    t_react: float
-    decel: float
-    dt: float
-
-    def __post_init__(self):
-        vals = (self.v0, self.t_react, self.decel, self.dt)
-        if not all(math.isfinite(v) for v in vals):
-            raise DataError("scenario parameters must be finite")
-        if self.v0 <= 0.0:
-            raise DataError("initial speed must be positive")
-        if self.t_react < 0.0:
-            raise DataError("reaction time must be nonnegative")
-        if self.decel <= 0.0:
-            raise DataError("deceleration must be positive")
-        if self.dt <= 0.0:
-            raise DataError("sample interval must be positive")
-
-    @property
-    def stop_time(self) -> float:
-        return self.t_react + self.v0 / self.decel
-
-    @property
-    def stopping_distance(self) -> float:
-        return self.v0 * self.t_react + self.v0**2 / (2.0 * self.decel)
 
 
 @dataclass(frozen=True)
@@ -194,20 +160,6 @@ def _simulate(v0: np.ndarray, t_react: np.ndarray, decel: np.ndarray,
     _check_traces(t, x, lengths)
     return [_trusted(TimeSeries, t=t[:n], x=x[start:start + n])
             for start, n in zip(starts.tolist(), lengths.tolist())]
-
-
-def simulate_braking(scenario: BrakingScenario) -> TimeSeries:
-    """Sample the maneuver at t = 0, dt, 2*dt, ... through the stop time.
-
-    The final sample is the first one at or past the stop, so the series
-    ends at the stopping distance (the vehicle is at rest).
-    """
-    ranges = ScenarioRanges(v0=(scenario.v0,) * 2, t_react=(scenario.t_react,) * 2,
-                            decel=(scenario.decel,) * 2, dt=scenario.dt)
-    check_corpus_size(1, ranges)
-    (series,) = _simulate(np.array([scenario.v0]), np.array([scenario.t_react]),
-                          np.array([scenario.decel]), scenario.dt)
-    return series
 
 
 def generate_corpus(

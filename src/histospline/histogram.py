@@ -225,10 +225,6 @@ class Histogram:
     def widths(self) -> np.ndarray:
         return np.diff(self.edges)
 
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
 
 def select_bin_count(samples: Samples, rule: BinRule) -> int:
     """Choose the number of equal-width bins for ``samples`` under ``rule``.

@@ -609,6 +609,13 @@ class TestEstimate:
             "estimate", "--input", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)
         ]) == 2
 
+    def test_error_naming_a_path_with_line_breaks_is_one_line(self, tmp_path, capsys):
+        path = str(tmp_path / "no\r\npe.csv")
+        assert main(["estimate", "--input", path, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {tmp_path}/no\\r\\npe.csv: [Errno 2] ")
+        assert err.count("\n") == 1 and "\r" not in err
+
     def test_both_sources_is_usage_error(self, small_corpus_file, tmp_path):
         assert main([
             "estimate", "--input", str(small_corpus_file), "--simulate",
@@ -797,6 +804,17 @@ class TestConfigHandling:
         assert summary["bin_count"] == 6
         assert summary["boundary"] == "natural"
 
+    def test_config_numbers_are_floats_as_the_flags_give_them(self, tmp_path):
+        # an integer dt once gave integer sample times, and one past int64 a traceback
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"dt": 1, "v0_range": [20, 30]}))
+        for out, argv in (("cfg", ["--config", str(config_path)]),
+                          ("flags", ["--dt", "1", "--v0-range", "20", "30"])):
+            assert main(["generate", "--count", "2", "--out-dir", str(tmp_path / out), *argv]) == 0
+        corpus = (tmp_path / "cfg" / "corpus.csv").read_bytes()
+        assert corpus == (tmp_path / "flags" / "corpus.csv").read_bytes()
+        assert corpus.startswith(b"series_id,t,x\n0,0.0,0.0\n0,1.0,")
+
     def test_unknown_config_key(self, tmp_path):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps({"binz": 3}))
@@ -826,7 +844,12 @@ class TestConfigHandling:
         (None, "cannot read config file {path}: [Errno 2] No such file or directory"),
         (b'{"bc": "bogus"}', "unknown boundary condition 'bogus'"),
         (b'{"seed": -1}', "seed must be >= 0"),
-    ], ids=["list", "missing", "bad-bc", "negative-seed"])
+        (b'{"dt": 1' + b"0" * 400 + b"}", "config key 'dt' is beyond the float range: 1000"),
+        (b'{"v0_range": [1, 1' + b"0" * 400 + b"]}", "config key 'v0_range' is beyond the float"),
+        (b'{"count": 1' + b"0" * 5000 + b"}", "config file {path} is not valid JSON: Exceeds"),
+        (b"[" * 100_000, "config file {path} is not valid JSON: maximum recursion depth"),
+    ], ids=["list", "missing", "bad-bc", "negative-seed", "huge-int-dt", "huge-int-range",
+            "int-of-5001-digits", "nested-too-deep"])
     def test_bad_config_file_is_a_usage_error(self, tmp_path, capsys, content, message):
         config_path = tmp_path / "run.json"
         if content is not None:
@@ -836,17 +859,26 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("error: " + message.format(path=config_path))
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, config, key", [
-        (["generate"], {"out_dir": "a\u0000b"}, "out_dir"),
-        (["estimate", "--simulate", "--count", "3"], {"out_dir": "a\u0000b"}, "out_dir"),
-        (["estimate"], {"input": "d/corpus.csv\u0000"}, "input"),
-    ], ids=["generate-out-dir", "estimate-out-dir", "estimate-input"])
-    def test_nul_byte_in_a_config_path_is_a_usage_error(self, tmp_path, capsys, argv, config, key):
-        # argv cannot carry a NUL, a JSON string can
+    NUL, SURROGATE = "holds a NUL byte", "is not encodable (surrogates not allowed)"
+
+    @pytest.mark.parametrize("argv, config, key, fault", [
+        (["generate"], {"out_dir": "a\u0000b"}, "out_dir", NUL),
+        (["estimate", "--simulate", "--count", "3"], {"out_dir": "a\u0000b"}, "out_dir", NUL),
+        (["estimate"], {"input": "d/corpus.csv\u0000"}, "input", NUL),
+        (["generate"], {"out_dir": "a\ud800b"}, "out_dir", SURROGATE),
+        (["estimate", "--simulate", "--count", "3"], {"out_dir": "a\ud800b"}, "out_dir",
+         SURROGATE),
+        (["estimate"], {"input": "x\ud800.csv"}, "input", SURROGATE),
+    ], ids=["generate-out-dir", "estimate-out-dir", "estimate-input", "generate-out-dir-surrogate",
+            "estimate-out-dir-surrogate", "estimate-input-surrogate"])
+    def test_nul_byte_in_a_config_path_is_a_usage_error(self, tmp_path, capsys, argv, config, key,
+                                                        fault):
+        # argv cannot carry a NUL or a lone surrogate, a JSON string can; the
+        # file system cannot encode either
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config))
         assert main([*argv, "--config", str(config_path)]) == 1
-        assert capsys.readouterr().err == f"error: {key} path holds a NUL byte: {config[key]!r}\n"
+        assert capsys.readouterr().err == f"error: {key} path {fault}: {config[key]!r}\n"
 
     @pytest.mark.parametrize("dt", ["inf", "nan"])
     def test_non_finite_dt_is_named_as_such(self, tmp_path, capsys, dt):

@@ -1,6 +1,7 @@
 """Tests for the emergency-braking time-series generator."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -8,71 +9,68 @@ import pytest
 import histospline.datagen as datagen
 from histospline import (
     DEFAULT_RANGES,
-    BrakingScenario,
     DataError,
     ScenarioRanges,
     TimeSeries,
     flatten_positions,
     generate_corpus,
-    simulate_braking,
 )
 from histospline.datagen import MAX_CORPUS_SAMPLES, check_corpus_size
 
 
-class TestBrakingScenario:
-    def test_stopping_distance_without_reaction(self):
-        # v^2 / (2a)
-        scenario = BrakingScenario(v0=10.0, t_react=0.0, decel=5.0, dt=0.01)
-        assert scenario.stopping_distance == 10.0
-        assert scenario.stop_time == 2.0
+class Scenario(NamedTuple):
+    """One braking maneuver: initial speed (m/s), driver reaction time (s),
+    constant deceleration magnitude (m/s^2), and sample interval (s)."""
 
-    def test_stopping_distance_with_reaction(self):
-        scenario = BrakingScenario(v0=20.0, t_react=1.0, decel=8.0, dt=0.01)
-        assert scenario.stopping_distance == 45.0
+    v0: float
+    t_react: float
+    decel: float
+    dt: float
 
-    def test_validation(self):
-        with pytest.raises(DataError, match="speed"):
-            BrakingScenario(v0=0.0, t_react=1.0, decel=5.0, dt=0.01)
-        with pytest.raises(DataError, match="reaction"):
-            BrakingScenario(v0=10.0, t_react=-0.1, decel=5.0, dt=0.01)
-        with pytest.raises(DataError, match="deceleration"):
-            BrakingScenario(v0=10.0, t_react=1.0, decel=0.0, dt=0.01)
-        with pytest.raises(DataError, match="interval"):
-            BrakingScenario(v0=10.0, t_react=1.0, decel=5.0, dt=0.0)
-        with pytest.raises(DataError, match="finite"):
-            BrakingScenario(v0=float("nan"), t_react=1.0, decel=5.0, dt=0.01)
+    @property
+    def stop_time(self) -> float:
+        return self.t_react + self.v0 / self.decel
+
+
+def simulate(scenario):
+    """The one series of ``scenario``: a corpus of one over one-point ranges,
+    since ``uniform(a, a)`` returns ``a``."""
+    v0, t_react, decel, dt = scenario
+    ranges = ScenarioRanges(v0=(v0, v0), t_react=(t_react, t_react), decel=(decel, decel), dt=dt)
+    (series,) = generate_corpus(1, ranges)
+    return series
 
 
 class TestSimulateBraking:
     def test_final_position_is_the_stopping_distance(self):
-        scenario = BrakingScenario(v0=10.0, t_react=0.0, decel=5.0, dt=0.01)
-        series = simulate_braking(scenario)
+        scenario = Scenario(v0=10.0, t_react=0.0, decel=5.0, dt=0.01)
+        series = simulate(scenario)
         assert series.x[-1] == pytest.approx(10.0, abs=scenario.dt * scenario.v0)
         assert series.x[0] == 0.0
 
     def test_sampling_grid(self):
-        scenario = BrakingScenario(v0=12.0, t_react=0.7, decel=4.0, dt=0.05)
-        series = simulate_braking(scenario)
+        scenario = Scenario(v0=12.0, t_react=0.7, decel=4.0, dt=0.05)
+        series = simulate(scenario)
         assert np.allclose(np.diff(series.t), 0.05, atol=1e-12)
         # series runs through the stop and not beyond the next sample
         assert series.t[-1] >= scenario.stop_time
         assert series.t[-2] < scenario.stop_time
 
     def test_positions_monotone(self):
-        scenario = BrakingScenario(v0=33.0, t_react=1.4, decel=3.7, dt=0.01)
-        series = simulate_braking(scenario)
+        scenario = Scenario(v0=33.0, t_react=1.4, decel=3.7, dt=0.01)
+        series = simulate(scenario)
         assert np.all(np.diff(series.x) >= 0.0)
 
     def test_reaction_phase_is_linear(self):
-        scenario = BrakingScenario(v0=10.0, t_react=1.0, decel=5.0, dt=0.1)
-        series = simulate_braking(scenario)
+        scenario = Scenario(v0=10.0, t_react=1.0, decel=5.0, dt=0.1)
+        series = simulate(scenario)
         in_reaction = series.t <= scenario.t_react
         assert np.array_equal(series.x[in_reaction], 10.0 * series.t[in_reaction])
 
     def test_matches_euler_integration(self):
         # independent oracle: explicit Euler at a fine step
-        scenario = BrakingScenario(v0=20.0, t_react=1.0, decel=8.0, dt=0.25)
-        series = simulate_braking(scenario)
+        scenario = Scenario(v0=20.0, t_react=1.0, decel=8.0, dt=0.25)
+        series = simulate(scenario)
         dt = 1e-4
         t_grid = np.arange(0.0, scenario.stop_time + dt, dt)
         v = np.where(
@@ -86,8 +84,8 @@ class TestSimulateBraking:
             assert xk == pytest.approx(x_euler[j], abs=1e-2)
 
     def test_short_stop_still_has_two_samples(self):
-        scenario = BrakingScenario(v0=0.5, t_react=0.0, decel=50.0, dt=0.5)
-        series = simulate_braking(scenario)
+        scenario = Scenario(v0=0.5, t_react=0.0, decel=50.0, dt=0.5)
+        series = simulate(scenario)
         assert len(series) >= 2
 
 
@@ -121,16 +119,16 @@ class TestTimeSeriesValidation:
         ([-1e308, 1e308], [0.0, 1.0], "sample times span .* overflows the float range"),
         # generated traces beyond the float range (x = None): the scenario is
         # simulated, and its overflow is this error, not a RuntimeWarning
-        (BrakingScenario(v0=1e200, t_react=1.0, decel=1e-100, dt=1e293), None,
+        (Scenario(v0=1e200, t_react=1.0, decel=1e-100, dt=1e293), None,
          "time series must be finite"),
-        (BrakingScenario(v0=1e300, t_react=1e300, decel=1.0, dt=1e299), None,
+        (Scenario(v0=1e300, t_react=1e300, decel=1.0, dt=1e299), None,
          "time series must be finite"),
-        (BrakingScenario(v0=1.5e308, t_react=0.0, decel=1.0, dt=1e308), None,
+        (Scenario(v0=1.5e308, t_react=0.0, decel=1.0, dt=1e308), None,
          "sample times must be finite"),
     ])
     def test_rejects_bad_traces(self, t, x, message):
         with pytest.raises(DataError, match=message):
-            simulate_braking(t) if x is None else TimeSeries(t=np.array(t), x=np.array(x))
+            simulate(t) if x is None else TimeSeries(t=np.array(t), x=np.array(x))
 
 
 class TestGenerateCorpus:
@@ -157,9 +155,11 @@ class TestGenerateCorpus:
     def test_degenerate_ranges_reproduce_the_scenario(self):
         ranges = ScenarioRanges(v0=(20.0, 20.0), t_react=(1.0, 1.0), decel=(8.0, 8.0), dt=0.01)
         corpus = generate_corpus(1, ranges=ranges, seed=0)
-        direct = simulate_braking(BrakingScenario(v0=20.0, t_react=1.0, decel=8.0, dt=0.01))
-        assert np.array_equal(corpus[0].x, direct.x)
-        assert np.array_equal(corpus[0].t, direct.t)
+        t, x = per_series_braking(Scenario(v0=20.0, t_react=1.0, decel=8.0, dt=0.01))
+        assert np.array_equal(corpus[0].x, x)
+        assert np.array_equal(corpus[0].t, t)
+        # at rest at the stopping distance v0 * t_react + v0**2 / (2 * decel)
+        assert corpus[0].x[-1] == 45.0
 
     def test_default_ranges_guarantee_long_stops(self):
         # analytic floor: 25 * 0.8 + 25^2 / (2 * 4.5) = 89.4 m > 65 m
@@ -201,6 +201,7 @@ class TestGenerateCorpus:
         (dict(t_react=(-0.1, 1.0)), "t_react range must be nonnegative"),
         (dict(decel=(0.0, 4.0)), "decel range must be positive"),
         (dict(decel=(-1.0, 4.0)), "decel range must be positive"),
+        (dict(dt=0.0), "dt must be positive"),
     ])
     def test_bad_ranges(self, ranges, message):
         fields = dict(v0=(20.0, 25.0), t_react=(1.0, 1.0), decel=(4.0, 4.0), dt=0.01)
@@ -238,7 +239,7 @@ def per_series_scenarios(count, ranges, seed):
     scenarios = []
     for index in range(count):
         rng = np.random.default_rng((seed, index))
-        scenarios.append(BrakingScenario(
+        scenarios.append(Scenario(
             v0=rng.uniform(*ranges.v0),
             t_react=rng.uniform(*ranges.t_react),
             decel=rng.uniform(*ranges.decel),
@@ -290,9 +291,9 @@ class TestVectorisedCorpus:
         for series, scenario in zip(corpus, per_series_scenarios(6, WIDE_RANGES, 5)):
             assert_same_bits(series, *per_series_braking(scenario))
 
-    def test_simulate_braking_is_the_one_series_case(self):
+    def test_one_point_ranges_are_the_one_series_case(self):
         for scenario in per_series_scenarios(50, WIDE_RANGES, 9):
-            assert_same_bits(simulate_braking(scenario), *per_series_braking(scenario))
+            assert_same_bits(simulate(scenario), *per_series_braking(scenario))
 
     def test_one_sample_series_is_a_data_error(self):
         # the stop time underflows to 0, so the series would hold t = 0 only
@@ -332,6 +333,6 @@ class TestCorpusBound:
 
     def test_single_scenario_is_bounded_too(self):
         with pytest.raises(DataError, match="exceed the corpus limit"):
-            simulate_braking(BrakingScenario(v0=30.0, t_react=1.0, decel=4.0, dt=1e-9))
+            simulate(Scenario(v0=30.0, t_react=1.0, decel=4.0, dt=1e-9))
         with pytest.raises(DataError, match="longest stop time"):
-            simulate_braking(BrakingScenario(v0=1e300, t_react=1.0, decel=1e-300, dt=0.01))
+            simulate(Scenario(v0=1e300, t_react=1.0, decel=1e-300, dt=0.01))

@@ -268,8 +268,8 @@ class TestPdfEvaluation:
         draws = np.random.default_rng(7).normal(size=100_000)
         est = estimate_pdf(Samples(draws), BinRule.sturges(), "natural")
         hist = build_histogram(Samples(draws), est.bin_count)
-        centers, heights = hist.centers, hist.heights
-        values = est(centers)
+        edges, heights = hist.edges, hist.heights
+        values = est(0.5 * (edges[:-1] + edges[1:]))
         inside = sum(
             min(heights[i - 1], heights[i + 1]) <= values[i] <= max(heights[i - 1], heights[i + 1])
             for i in range(1, len(heights) - 1)

@@ -1,12 +1,14 @@
-"""The CLI's exit-code contract as a property of ``estimate --input`` and
-of the generator flags of ``generate`` and ``estimate --simulate``.
+"""The CLI's exit-code contract as a property of ``estimate --input``, of
+the generator flags of ``generate`` and ``estimate --simulate``, and of
+the ``--config`` file of every command.
 
 On any column, under every bin rule and boundary, ``estimate`` either
 succeeds (exit 0, no numpy warning, and ``compare`` accepts the curve it
 wrote) or fails with a typed error: exit 1 (usage), 2 (data) or 3
 (numeric), one ``error:`` line on stderr and no traceback.  On any
 scenario ranges, ``generate`` and ``estimate --simulate`` either succeed
-with no numpy warning or fail with one such typed error.
+with no numpy warning or fail with one such typed error, and so does each
+command on any JSON object over the config keys.
 
 The columns are drawn where floats misbehave: a few ulps wide, subnormal,
 tiny and huge magnitudes, and heavy tails.  The paper's per-bin identity
@@ -17,6 +19,7 @@ error, a spline fault tracked on its own.
 
 import contextlib
 import io
+import json
 import tempfile
 import warnings
 from pathlib import Path
@@ -26,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histospline.cli import main
+from histospline.cli import RunConfig, main
 
 RULES = ("sqrt", "sturges", "scott", "fd", "knuth", "fixed:3", "fixed:40")
 BOUNDARIES = ("natural", "clamped", "not-a-knot")
@@ -111,6 +114,90 @@ def test_estimate_exits_with_a_result_or_one_typed_error(rule, boundary, values)
 def test_generator_flags_exit_with_a_result_or_one_typed_error(command, flags):
     with tempfile.TemporaryDirectory() as tmp:
         code, _, err = run(command + flags + ["--out-dir", str(Path(tmp) / "out")])
+        if code == 0:
+            assert err == ""
+        else:
+            assert code in (1, 2, 3)
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+
+
+# JSON texts of numbers.  The finite magnitudes are 0.5 to 20, or at least
+# 1e19 times larger or smaller, so a corpus whose stop times over dt pass
+# the corpus bound holds at most a few hundred samples.  1e400 reads as
+# inf, and an integer of 4,301 digits exceeds what Python's int parser takes.
+HUGE_INTEGERS = ["1" + "0" * 400, "-" + "9" * 330, "1" + "0" * 4300]
+FLOATS = st.sampled_from(["0", "0.5", "1", "4", "20", "-1", "2.5", "5e-324", "1e-300", "1e300",
+                          "-1e300", "1e400", "-1e400", str(2**64), *HUGE_INTEGERS])
+# a well-typed count is at most 3 or beyond the corpus bound
+COUNTS = st.sampled_from(["1", "2", "3", "0", "-1", str(10**8 + 1), *HUGE_INTEGERS])
+# strings hold NUL, lone surrogates, control characters and line breaks
+STRINGS = st.text(st.sampled_from("a.é \0\ud800\udfff\x01\x1b\n\r\x7f"), max_size=6)
+WRONG_TYPES = ["true", "false", "null", "[]", "{}", "[1, 2, 3]", "2.5"]
+STRING_KEYS = {"out_dir", "input", "column", "rule", "bc", "curve_a", "curve_b"}
+
+
+def config_text(tmp):
+    """A JSON object over the config keys, as text: ``out_dir``, ``count``
+    and ``simulate`` always, up to five other keys, and at most one value of
+    a wrong type.  Paths name files in ``tmp``, among them a column file and
+    two curves, so no run writes outside it."""
+    def path(name):
+        return json.dumps(f"{tmp}/{name}")
+
+    names = STRINGS.map("p".__add__)
+    paths = st.one_of(st.sampled_from(["column.csv", "a.csv"]), names)
+    well_typed = {
+        "out_dir": names.map(path),
+        "input": st.one_of(st.just("null"), paths.map(path)),
+        "column": st.one_of(st.just("x"), STRINGS).map(json.dumps),
+        "simulate": st.sampled_from(["true", "true", "false"]),
+        "count": COUNTS,
+        "seed": st.sampled_from(["0", "42", "-1", str(2**64), *HUGE_INTEGERS]),
+        "v0_range": st.lists(FLOATS, min_size=2, max_size=2).map(", ".join).map("[{}]".format),
+        "dt": FLOATS,
+        "rule": st.one_of(st.sampled_from(["knuth", "sturges", " Scott ", "fixed:3", "fixed:0",
+                                           "fixed:1000001", "fixed:" + "9" * 5000, "fixed",
+                                           "bogus"]), STRINGS).map(json.dumps),
+        "bc": st.one_of(st.sampled_from(["natural", "clamped", "not-a-knot"]),
+                        STRINGS).map(json.dumps),
+        "grid": st.sampled_from(["2", "3", "1001", "1", "-5", str(10**6 + 1), HUGE_INTEGERS[0]]),
+        "knuth_max": st.sampled_from(["1", "200", "0", "10001", HUGE_INTEGERS[0]]),
+        "curve_a": st.one_of(st.just("null"), paths.map(path)),
+        "curve_b": st.one_of(st.just("null"), paths.map(path)),
+    }
+    well_typed["t_react_range"] = well_typed["decel_range"] = well_typed["v0_range"]
+    assert set(well_typed) == set(RunConfig.__dataclass_fields__) - {"command"}
+
+    @st.composite
+    def objects(draw):
+        always = ["out_dir", "count", "simulate"]
+        keys = always + draw(st.lists(st.sampled_from(sorted(set(well_typed) - set(always))),
+                                      unique=True, max_size=5))
+        values = {key: draw(well_typed[key]) for key in keys}
+        wrong = draw(st.one_of(st.none(), st.sampled_from(keys)))
+        if wrong is not None:  # a string is a path, not a wrong type, for a string key
+            values[wrong] = draw(st.sampled_from(
+                WRONG_TYPES + ([] if wrong in STRING_KEYS else ['"3"', '"x"'])))
+        return "{" + ", ".join(f'"{key}": {value}' for key, value in values.items()) + "}"
+
+    return objects()
+
+
+@pytest.mark.parametrize("command", [["generate"], ["estimate"], ["compare", "a.csv", "b.csv"]],
+                         ids=["generate", "estimate", "compare"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_config_files_exit_with_a_result_or_one_typed_error(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "column.csv").write_text("x\n" + "".join(f"{v}\n" for v in range(1, 40, 3)))
+        (tmp / "a.csv").write_text("u,pdf\n0,1\n1,1\n")
+        (tmp / "b.csv").write_text("u,pdf\n0,0.5\n0.5,1.5\n1,1\n")
+        config = tmp / "run.json"
+        config.write_text(data.draw(config_text(tmp), label="config"), encoding="utf-8")
+        argv = [command[0], *(str(tmp / name) for name in command[1:]), "--config", str(config)]
+        code, _, err = run(argv)
         if code == 0:
             assert err == ""
         else:

@@ -612,7 +612,6 @@ class TestBuildHistogram:
         hist = build_histogram(uniform_samples([0.0, 1.0, 2.0, 3.0]), 2)
         assert np.array_equal(hist.edges, [0.0, 1.5, 3.0])
         assert hist.heights == pytest.approx([1.0 / 3.0, 1.0 / 3.0], abs=1e-15)
-        assert np.array_equal(hist.centers, [0.75, 2.25])
 
     def test_boundary_sample_lands_in_last_bin(self):
         # counting oracle: bins [0,1) [1,2) [2,3] get masses 3/4, 0, 1/4
