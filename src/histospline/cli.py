@@ -358,8 +358,7 @@ def cmd_estimate(config: RunConfig) -> int:
         (values,) = _read_finite(config.input, config.column, limit=MAX_CORPUS_SAMPLES)
         source = f"{config.input}#{config.column}"
     else:
-        corpus = generate_corpus(config.count, config.ranges(), seed=config.seed)
-        values = flatten_positions(corpus)
+        values = flatten_positions(generate_corpus(config.count, config.ranges(), seed=config.seed))
         source = f"simulate(count={config.count}, seed={config.seed})"
     samples = Samples(values)
     rule = config.bin_rule()

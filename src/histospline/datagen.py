@@ -42,7 +42,14 @@ class ScenarioRanges:
     dt: float
 
     def __post_init__(self):
-        for name, (lo, hi) in (("v0", self.v0), ("t_react", self.t_react), ("decel", self.decel)):
+        for name in ("v0", "t_react", "decel"):
+            pair = getattr(self, name)
+            try:
+                lo, hi = pair
+            except (TypeError, ValueError):
+                raise DataError(f"{name} range must be a (min, max) pair, got {pair!r}") from None
+            lo, hi = _real(lo, f"{name} range bound"), _real(hi, f"{name} range bound")
+            object.__setattr__(self, name, (lo, hi))
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise DataError(f"{name} range must be finite")
             if lo > hi:
@@ -54,12 +61,24 @@ class ScenarioRanges:
             raise DataError("t_react range must be nonnegative")
         if self.decel[0] <= 0.0:
             raise DataError("decel range must be positive")
+        object.__setattr__(self, "dt", _real(self.dt, "dt"))
         if not math.isfinite(self.dt):
             raise DataError(f"dt must be finite, got {self.dt!r}")
         if self.dt <= 0.0:
             raise DataError("dt must be positive")
         if not math.isfinite(self.t_react[1] + self.v0[1] / self.decel[0]):
             raise DataError("the longest stop time, t_react max + v0 max / decel min, overflows")
+
+
+def _real(value, name: str) -> float:
+    """``value``, an int or a float (numpy's too, not a bool), as a float;
+    :class:`DataError` naming ``name`` if it is neither or beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise DataError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DataError(f"{name} is beyond the float range: {value!r}") from None
 
 
 # Upper bound on the samples of one corpus (1.6 GB of t and x), checked
@@ -190,8 +209,10 @@ def generate_corpus(
 
 
 def flatten_positions(corpus: list[TimeSeries]) -> np.ndarray:
-    """Concatenate all position samples of all series, the estimation
-    input for density-over-position analysis."""
+    """Concatenate all position samples of all series, read-only (so
+    ``Samples`` holds it uncopied), the input for density over position."""
     if not corpus:
         raise DataError("corpus is empty")
-    return np.concatenate([ts.x for ts in corpus])
+    x = np.concatenate([ts.x for ts in corpus])
+    x.setflags(write=False)
+    return x

@@ -38,9 +38,12 @@ __all__ = [
 
 DENSITY_FLOOR = 1e-12
 
-# Upper bound on the points of a KL or quadrature grid (and on the CLI's
-# --grid), checked before the grid is allocated.
+# Upper bound on the points of a KL grid (and on the CLI's --grid),
+# checked before the grid is allocated.
 MAX_GRID_SIZE = 1_000_000
+
+# The odd number of points of quadrature_normalization's Simpson grid
+SIMPSON_POINTS = 10001
 
 
 def cumulative_masses(hist: Histogram) -> np.ndarray:
@@ -189,19 +192,17 @@ def count_turning_points(est: PdfEstimate, grid_size: int = 512) -> int:
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
-def quadrature_normalization(est: PdfEstimate, points: int = 10001) -> float:
-    """Composite-Simpson integral of the density over its support.
+def quadrature_normalization(est: PdfEstimate) -> float:
+    """Composite-Simpson integral of the density over its support, on
+    ``SIMPSON_POINTS`` points.
 
     Computed as ``scipy.integrate.simpson(est(u), x=u)`` does, operation
-    for operation (with Cartwright's last-interval term for even ``points``).
+    for operation.
     """
-    points = _size(points, "points", 2, MAX_GRID_SIZE)
     lo, hi = est.support
-    u = np.linspace(lo, hi, points)
+    u = np.linspace(lo, hi, SIMPSON_POINTS)
     y, h = est(u), np.diff(u)
-    if points == 2:
-        return float(0.5 * h[0] * (y[1] + y[0]))
-    m = points - 2 if points % 2 else points - 3
+    m = SIMPSON_POINTS - 2
     h0, h1 = h[0:m:2], h[1:m + 1:2]
     hsum, ratio = h0 + h1, _divide(h0, h1)
     # Products of spacings are formed from the spacings g scaled by a power
@@ -216,11 +217,6 @@ def quadrature_normalization(est: PdfEstimate, points: int = 10001) -> float:
         + y[1:m + 1:2] * (gsum * _divide(gsum, g0 * g1))
         + y[2:m + 2:2] * (2.0 - ratio)
     ))
-    if points % 2 == 0:
-        a, b = g[-2], g[-1]
-        total += (np.ldexp(_divide(2 * b**2 + 3 * a * b, 6 * (b + a)), scale) * y[-1]
-                  + np.ldexp(_divide(b**2 + 3.0 * a * b, 6 * a), scale) * y[-2]
-                  - np.ldexp(_divide(1 * b**3, 6 * a * (a + b)), scale) * y[-3])
     return float(total)
 
 

@@ -369,15 +369,15 @@ def _knuth_chunks(values: np.ndarray, search_max: int):
     ``np.linspace(lo, hi, B + 1)`` and ``np.histogram``, bit for bit.
     The first chunk, the whole scan at the default bound, searches its
     edges in increasing ``k / B``, so each search starts where the last
-    one ended; its layout is built once per process (see
-    :func:`_first_chunk_layout`).
+    one ended.  The latest chunk layout is kept, so repeated scans of one
+    chunk (``search_max`` up to 361) build it once (see :func:`_chunk_layout`).
     """
     sorted_values = np.sort(values)
     lo, hi = sorted_values[0], sorted_values[-1]
     n = sorted_values.size
     delta = hi - lo
     for first, last in _chunk_bounds(search_max):
-        layout = _first_chunk_layout(last) if first == 1 else _chunk_layout(first, last)
+        layout = _chunk_layout(first, last)
         bs, starts, order = layout.bs, layout.starts, layout.order
         k, b_of_edge = layout.k, layout.b_of_edge
         # np.linspace computes k * (delta / B) + lo, or k / B * delta when
@@ -467,13 +467,16 @@ class _ChunkLayout(NamedTuple):
     order: np.ndarray | None  # argsort of k / B, in the chunk that starts at B = 1
 
 
+@functools.lru_cache(maxsize=1)
 def _chunk_layout(first: int, last: int) -> _ChunkLayout:
+    """The layout of the chunk ``B = first..last``, read-only, as every scan
+    with the same chunk shares it."""
     bs = np.arange(first, last + 1)
     starts = np.cumsum(bs) - bs
     b_list = bs.tolist()
     k = (np.arange(starts[-1] + last) - np.repeat(starts, bs)).astype(float)
     b_of_edge = np.repeat(bs.astype(float), bs)
-    return _ChunkLayout(
+    layout = _ChunkLayout(
         bs=bs,
         starts=starts,
         ends=starts + bs - 1,
@@ -484,15 +487,9 @@ def _chunk_layout(first: int, last: int) -> _ChunkLayout:
         b_lgamma_half=bs * math.lgamma(0.5),
         order=np.argsort(k / b_of_edge) if first == 1 else None,
     )
-
-
-@functools.lru_cache(maxsize=1)
-def _first_chunk_layout(last: int) -> _ChunkLayout:
-    """The layout of the chunk ``B = 1..last``, read-only, as every scan
-    with the same first chunk shares it."""
-    layout = _chunk_layout(1, last)
     for array in layout:
-        array.setflags(write=False)
+        if array is not None:
+            array.setflags(write=False)
     return layout
 
 

@@ -10,6 +10,7 @@ import histospline.datagen as datagen
 from histospline import (
     DEFAULT_RANGES,
     DataError,
+    Samples,
     ScenarioRanges,
     TimeSeries,
     flatten_positions,
@@ -202,17 +203,42 @@ class TestGenerateCorpus:
         (dict(decel=(0.0, 4.0)), "decel range must be positive"),
         (dict(decel=(-1.0, 4.0)), "decel range must be positive"),
         (dict(dt=0.0), "dt must be positive"),
+        # each field is read as a float, or rejected naming the field
+        (dict(v0=(1.0, 10**400)), r"v0 range bound is beyond the float range: 1000"),
+        (dict(dt=10**400), r"dt is beyond the float range: 1000"),
+        (dict(t_react=(0.0, "1")), r"t_react range bound must be a real number, got '1'$"),
+        (dict(decel=(True, 4.0)), r"decel range bound must be a real number, got True$"),
+        (dict(dt="0.01"), r"dt must be a real number, got '0.01'$"),
+        (dict(dt=np.True_), r"dt must be a real number, got np.True_$"),
+        (dict(v0=None), r"v0 range must be a \(min, max\) pair, got None$"),
+        (dict(v0=(20.0, 25.0, 30.0)), r"v0 range must be a \(min, max\) pair"),
     ])
     def test_bad_ranges(self, ranges, message):
         fields = dict(v0=(20.0, 25.0), t_react=(1.0, 1.0), decel=(4.0, 4.0), dt=0.01)
         with pytest.raises(DataError, match=message):
             ScenarioRanges(**{**fields, **ranges})
 
+    @pytest.mark.parametrize("fields", [
+        dict(v0=(20, 20), t_react=(1, 1), decel=(8, 8), dt=1),
+        # an integer dt past int64 overflowed the sample times
+        dict(v0=(20, 20), t_react=(0, 10**22), decel=(8, 8), dt=10**22),
+        dict(v0=(np.int64(20), np.int64(20)), t_react=(1, 1), decel=(np.float32(8), 8), dt=1),
+    ])
+    def test_integer_ranges_are_the_float_ranges(self, fields):
+        floats = {key: float(v) if key == "dt" else tuple(map(float, v)) for key, v in fields.items()}
+        assert ScenarioRanges(**fields) == ScenarioRanges(**floats)
+        (got,), (expected,) = (generate_corpus(1, ScenarioRanges(**f), seed=5) for f in (fields, floats))
+        for a, b in ((got.t, expected.t), (got.x, expected.x)):
+            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
     def test_flatten_positions(self):
         corpus = generate_corpus(4, seed=9)
         flat = flatten_positions(corpus)
         assert flat.size == sum(len(ts) for ts in corpus)
         assert flat[0] == corpus[0].x[0]
+        # read-only, so Samples holds it without a copy
+        assert not flat.flags.writeable
+        assert Samples(flat).values is flat
         with pytest.raises(DataError, match="empty"):
             flatten_positions([])
 

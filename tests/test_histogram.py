@@ -534,8 +534,8 @@ class TestBatchedKnuthScan:
                 assert np.array_equal(heads.view(np.int64), np.array(expected).view(np.int64))
 
     def test_first_chunk_layout_is_read_only_in_value_order(self):
-        layout = histogram_module._first_chunk_layout(200)
-        assert histogram_module._first_chunk_layout(200) is layout
+        layout = histogram_module._chunk_layout(1, 200)
+        assert histogram_module._chunk_layout(1, 200) is layout
         assert not any(array.flags.writeable for array in layout)
         with pytest.raises(ValueError, match="read-only"):
             layout.k[0] = 1.0
@@ -549,7 +549,7 @@ class TestBatchedKnuthScan:
     def test_scans_of_changing_bounds_match_the_per_step_scan(self):
         values = scan_vector("normal")
         _, expected = per_step_knuth_scan(values, 1000)
-        histogram_module._first_chunk_layout.cache_clear()
+        histogram_module._chunk_layout.cache_clear()
         for _ in ("cold", "warm"):
             for search_max in self.CHANGING_BOUNDS:
                 exact, lower, upper = scanned_posteriors(values, search_max)
@@ -560,7 +560,7 @@ class TestBatchedKnuthScan:
 
     def test_the_cache_holds_one_first_chunk(self):
         s = uniform_samples(scan_vector("normal"))
-        histogram_module._first_chunk_layout.cache_clear()
+        histogram_module._chunk_layout.cache_clear()
         tracemalloc.start()
         try:
             for search_max in self.CHANGING_BOUNDS:
@@ -571,7 +571,7 @@ class TestBatchedKnuthScan:
         # the layout of 1..361 is about 1.6 MB, and those of 1..200 and
         # 1..37 would add 0.5 MB
         assert retained < 2e6
-        assert histogram_module._first_chunk_layout.cache_info().currsize == 1
+        assert histogram_module._chunk_layout.cache_info().currsize == 1
 
 
 class TestLgammaTerms:
