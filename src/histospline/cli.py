@@ -232,7 +232,9 @@ def _write_csv(path: Path, header: str, chunks) -> None:
 
 
 def _read_columns(path: str, *columns: str, limit: int) -> np.ndarray:
-    """The named numeric columns of a headered CSV file, shape ``(len(columns), rows)``.
+    """The named numeric columns of a headered CSV file, shape
+    ``(len(columns), rows)``; one column is returned in an array that owns
+    its data.
 
     numpy's C parser reads the cells.  It accepts a subset of what
     ``float()`` accepts and skips blank lines, so when it fails, or reads
@@ -280,6 +282,9 @@ def _read_columns(path: str, *columns: str, limit: int) -> np.ndarray:
         raise DataError(f"{path}: more than the limit of {limit} data rows")
     if rows < 2:
         raise DataError(f"{path}: need at least 2 data rows, found {rows}")
+    if table.shape[1] == 1:
+        table.resize(1, rows)  # (rows, 1) to (1, rows) in place: the same bytes
+        return table
     return table.T
 
 
@@ -298,7 +303,7 @@ def _parse_rows(path: str, fh, columns: tuple[str, ...], indices: list[int],
                 raise DataError(
                     f"{path}: row {row_number}, column {column!r}: bad numeric value"
                 ) from exc
-    return np.frombuffer(values).reshape(-1, len(indices))
+    return np.frombuffer(values).reshape(-1, len(indices)).copy()
 
 
 def _read_finite(path: str, *columns: str, limit: int) -> np.ndarray:
@@ -314,6 +319,15 @@ def _read_finite(path: str, *columns: str, limit: int) -> np.ndarray:
 def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
     u, pdf = _read_finite(path, "u", "pdf", limit=MAX_GRID_SIZE)
     return _checked_knots(u, f"{path}: curve grid"), pdf
+
+
+def _read_samples(path: str, column: str) -> np.ndarray:
+    """The finite ``column`` of ``path`` as a read-only 1-d array that owns
+    its data, which :class:`Samples` keeps without a copy."""
+    values = _read_finite(path, column, limit=MAX_CORPUS_SAMPLES)
+    values.resize(values.size)  # (1, rows) to (rows,) in place
+    values.setflags(write=False)
+    return values
 
 
 def cmd_generate(config: RunConfig) -> int:
@@ -355,7 +369,7 @@ def _estimate_summary(config: RunConfig, estimate, sample_count: int, source: st
 
 def cmd_estimate(config: RunConfig) -> int:
     if config.input:
-        (values,) = _read_finite(config.input, config.column, limit=MAX_CORPUS_SAMPLES)
+        values = _read_samples(config.input, config.column)
         source = f"{config.input}#{config.column}"
     else:
         values = flatten_positions(generate_corpus(config.count, config.ranges(), seed=config.seed))

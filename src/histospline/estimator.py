@@ -201,7 +201,7 @@ def quadrature_normalization(est: PdfEstimate) -> float:
     """
     lo, hi = est.support
     u = np.linspace(lo, hi, SIMPSON_POINTS)
-    y, h = est(u), np.diff(u)
+    y, h = _density_on_grid(est.spline, u), np.diff(u)
     m = SIMPSON_POINTS - 2
     h0, h1 = h[0:m:2], h[1:m + 1:2]
     hsum, ratio = h0 + h1, _divide(h0, h1)
@@ -220,6 +220,19 @@ def quadrature_normalization(est: PdfEstimate) -> float:
     return float(total)
 
 
+def _density_on_grid(spline: CubicSplineModel, u: np.ndarray) -> np.ndarray:
+    """``spline.derivative(u)`` on a non-decreasing grid ``u`` from the first
+    knot to the last, bit for bit, by runs: the points of each segment are
+    found by one search of the interior knots into the grid, and the
+    segment's terms are repeated over them."""
+    runs = np.diff(np.searchsorted(u, spline.knots[1:-1]), prepend=0, append=u.size)
+    _, c1, c2, c3 = spline.coefficients.T
+    s = u - np.repeat(spline.knots[:-1], runs)
+    return np.repeat(c1, runs) + s * (np.repeat(2.0 * c2, runs) + np.repeat(3.0 * c3, runs) * s)
+
+
 def _divide(num, den):
     # 0 where the denominator is 0 (grid points that coincide on a tiny support)
+    if den.all():
+        return num / den
     return np.divide(num, den, out=np.zeros_like(den), where=den != 0)

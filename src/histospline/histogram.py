@@ -93,7 +93,8 @@ class Samples:
 
     Values must be finite, not all equal, with a finite spread
     ``max - min``, which every bin rule and the histogram edges are built
-    from.
+    from.  The ``(min, max)`` found by that check is kept as ``bounds``, a
+    pair of floats derived from the values, not a field.
     """
 
     values: np.ndarray
@@ -112,6 +113,7 @@ class Samples:
                 f"sample spread max - min overflows the float range (min {lo!r}, max {hi!r})"
             )
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "bounds", (lo, hi))
 
     def __len__(self) -> int:
         return self.values.size
@@ -266,7 +268,7 @@ def select_bin_count(samples: Samples, rule: BinRule) -> int:
     if rule.tag == "knuth":
         return _knuth_scan(values, rule.knuth_search_max)
 
-    lo, hi = float(values.min()), float(values.max())
+    lo, hi = samples.bounds
     if rule.tag == "scott":
         # the squared deviations can overflow; the width check below names it
         with np.errstate(over="ignore"):
@@ -327,6 +329,8 @@ def _knuth_head(b: int, n: float) -> float:
 # Bound on the left edges the Knuth scan materializes at once.
 KNUTH_SCAN_CHUNK = 1 << 16
 
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
 
 def _knuth_scan(values: np.ndarray, search_max: int) -> int:
     """Argmax of the posterior over ``B = 1..search_max``; ties go to the
@@ -367,10 +371,19 @@ def _knuth_chunks(values: np.ndarray, search_max: int):
     table or the Stirling series (see :func:`_lgamma_half`), whose bound
     on each term widens ``err``.  Edges and counts are those of
     ``np.linspace(lo, hi, B + 1)`` and ``np.histogram``, bit for bit.
-    The first chunk, the whole scan at the default bound, searches its
-    edges in increasing ``k / B``, so each search starts where the last
-    one ended.  The latest chunk layout is kept, so repeated scans of one
-    chunk (``search_max`` up to 361) build it once (see :func:`_chunk_layout`).
+
+    The first chunk, the whole scan at the default bound, searches each
+    distinct edge once, in increasing ``k / B``, so each search starts
+    where the last one ended.  When the step ``delta / B`` of the chunk's
+    largest ``B`` rounds above the smallest normal float, every step is
+    ``delta / B`` rounded in the normal range, where doubling ``B`` halves
+    the step exactly.  So edge ``k`` of an even ``B`` with ``k`` even is
+    edge ``k / 2`` of ``B / 2``, bit for bit, and every edge ``k = 0`` is
+    ``lo``; each such edge is searched once and gathered.  On a spread
+    whose steps reach the subnormal floats, the chunk computes and
+    searches every edge by the per-edge formula.  The latest chunk layout
+    is kept, so repeated scans of one chunk (``search_max`` up to 361)
+    build it once (see :func:`_chunk_layout`).
     """
     sorted_values = np.sort(values)
     lo, hi = sorted_values[0], sorted_values[-1]
@@ -378,19 +391,23 @@ def _knuth_chunks(values: np.ndarray, search_max: int):
     delta = hi - lo
     for first, last in _chunk_bounds(search_max):
         layout = _chunk_layout(first, last)
-        bs, starts, order = layout.bs, layout.starts, layout.order
-        k, b_of_edge = layout.k, layout.b_of_edge
-        # np.linspace computes k * (delta / B) + lo, or k / B * delta when
-        # the step underflows to 0
-        step = delta / b_of_edge
-        left_edges = np.where(step == 0.0, k / b_of_edge * delta, k * step) + lo
-        if order is None:
-            positions = np.searchsorted(sorted_values, left_edges, side="left")
-        else:
+        bs, starts = layout.bs, layout.starts
+        steps = delta / bs  # np.linspace's step of each B
+        if layout.canonical is not None and steps[-1] > _SMALLEST_NORMAL:
             # numpy keeps the lower bound of its search while the keys
             # increase, so keys in value order probe nearby samples
-            positions = np.empty(left_edges.size, dtype=np.intp)
-            positions[order] = np.searchsorted(sorted_values, left_edges[order], side="left")
+            left_edges = layout.k * steps.take(layout.b_index) + lo
+            positions = np.searchsorted(sorted_values, left_edges).take(layout.canonical)
+        else:
+            if layout.canonical is None:
+                k, b_index = layout.k, layout.b_index
+            else:  # the first chunk's steps reach the subnormal floats
+                k, b_index = _edge_indices(bs, starts)
+            step = steps.take(b_index)
+            # np.linspace computes k * (delta / B) + lo, or k / B * delta when
+            # the step underflows to 0
+            left_edges = np.where(step == 0.0, k / bs.take(b_index) * delta, k * step) + lo
+            positions = np.searchsorted(sorted_values, left_edges)
         # half-open bins, the last one closed at n
         counts = np.diff(positions, append=n)
         counts[layout.ends] = n - positions[layout.ends]
@@ -453,18 +470,27 @@ def _chunk_bounds(search_max: int):
 
 
 class _ChunkLayout(NamedTuple):
-    """What a chunk of the Knuth scan needs of its ``B`` alone, one entry
-    per ``B`` or per left edge."""
+    """What a chunk of the Knuth scan needs of its ``B`` alone: one entry
+    per ``B``, per searched edge or per left edge."""
 
     bs: np.ndarray
     starts: np.ndarray  # where the edges of each B begin
     ends: np.ndarray  # where they end
-    k: np.ndarray  # the index of each edge within its B
-    b_of_edge: np.ndarray
     log_b: np.ndarray  # the n-free terms of _knuth_head
     lgamma_half_b: np.ndarray
     b_lgamma_half: np.ndarray
-    order: np.ndarray | None  # argsort of k / B, in the chunk that starts at B = 1
+    k: np.ndarray  # the index of each searched edge within its B
+    b_index: np.ndarray  # int32: the position in bs of each searched edge's B
+    # int32, in the chunk that starts at B = 1: the searched edge equal to
+    # each left edge; the searched edges are then the distinct ones in
+    # increasing k / B, and otherwise every edge in order
+    canonical: np.ndarray | None
+
+
+def _edge_indices(bs: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (k, position of B in bs) of every left edge of the chunk, in order
+    b_index = np.repeat(np.arange(bs.size, dtype=np.int32), bs)
+    return np.arange(starts[-1] + bs[-1]) - starts[b_index], b_index
 
 
 @functools.lru_cache(maxsize=1)
@@ -474,18 +500,29 @@ def _chunk_layout(first: int, last: int) -> _ChunkLayout:
     bs = np.arange(first, last + 1)
     starts = np.cumsum(bs) - bs
     b_list = bs.tolist()
-    k = (np.arange(starts[-1] + last) - np.repeat(starts, bs)).astype(float)
-    b_of_edge = np.repeat(bs.astype(float), bs)
+    k, b_index = _edge_indices(bs, starts)
+    canonical = None
+    if first == 1:
+        # divide k and B by the largest power of two dividing both; an edge
+        # k = 0 becomes the edge 0 of B = 1
+        b = bs[b_index]
+        power = np.where(k == 0, b, np.minimum(k & -k, b & -b))
+        same_as = starts[b // power - 1] + k // power
+        searched = np.flatnonzero(same_as == np.arange(same_as.size))
+        searched = searched[np.argsort(k[searched] / b[searched])]
+        rank = np.empty(same_as.size, dtype=np.int32)
+        rank[searched] = np.arange(searched.size)
+        canonical, k, b_index = rank[same_as], k[searched], b_index[searched]
     layout = _ChunkLayout(
         bs=bs,
         starts=starts,
         ends=starts + bs - 1,
-        k=k,
-        b_of_edge=b_of_edge,
         log_b=np.array(list(map(math.log, b_list))),
         lgamma_half_b=np.array([math.lgamma(b / 2.0) for b in b_list]),
         b_lgamma_half=bs * math.lgamma(0.5),
-        order=np.argsort(k / b_of_edge) if first == 1 else None,
+        k=k.astype(float),
+        b_index=b_index,
+        canonical=canonical,
     )
     for array in layout:
         if array is not None:
@@ -510,10 +547,9 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
     or of zero width, as on a range a few ulps wide.
     """
     bin_count = _size(bin_count, "bin_count", 1, MAX_BIN_COUNT)
-    values = samples.values
-    lo, hi = float(values.min()), float(values.max())
+    lo, hi = samples.bounds
     edges = np.linspace(lo, hi, bin_count + 1)
-    masses = _bin_masses(values, edges)
+    masses = _bin_masses(samples.values, edges)
     total = masses.sum()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         heights = masses / (total * np.diff(edges))

@@ -307,6 +307,28 @@ class TestReadFinite:
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}: non-finite value$"):
             cli._read_finite(str(path), "u", "pdf", limit=MAX_GRID_SIZE)
 
+    @pytest.mark.parametrize("fallback", [False, True], ids=["loadtxt", "parse-rows"])
+    def test_one_n_sized_array_is_held_from_the_reader_through_samples(self, tmp_path,
+                                                                        fallback):
+        # estimate --input's samples, 0.8 MB: the column the reader parsed
+        # is the array Samples keeps
+        values = np.random.default_rng(3).normal(size=10**5)
+        cells = [repr(v) for v in values.tolist()]
+        if fallback:  # only float() reads this cell
+            cells[1], values[1] = "0_1", 1.0
+        path = tmp_path / "samples.csv"
+        path.write_text("x\n" + "".join(cell + "\n" for cell in cells))
+        tracemalloc.start()
+        try:
+            column = cli._read_samples(str(path), "x")
+            samples = Samples(column)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 1.1 * values.nbytes
+        assert samples.values is column and not column.flags.writeable
+        assert np.array_equal(column, values)
+
 
 class TestRowLimits:
     """Each input file is read up to one row past its limit, and a file

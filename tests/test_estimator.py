@@ -242,6 +242,29 @@ class TestPdfEvaluation:
         u = np.linspace(*est.support, 10_001)
         assert quadrature_normalization(est) == float(simpson(est(u), x=u))
 
+    @pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
+    @pytest.mark.parametrize("kind", ["grid-hits-every-knot", "support-a-few-ulps-wide"])
+    def test_simpson_matches_scipy_on_knot_and_narrow_grids(self, kind, boundary):
+        if kind == "grid-hits-every-knot":
+            # integers 0..10000 in 100 bins: the grid's step of 1 lands on
+            # every knot, which starts the run of its right-hand segment
+            values = np.random.default_rng(43).integers(0, 10_001, size=5000).astype(float)
+            values[:2] = 0.0, 10_000.0
+            bins = 100
+        else:
+            # 6 values 5 ulps apart: most of the grid's spacings are 0
+            values = 52.49195437421315 + np.arange(6) * np.spacing(52.49195437421315)
+            bins = 3
+        est = estimate_pdf(Samples(values), BinRule.fixed(bins), boundary)
+        u = np.linspace(*est.support, 10_001)
+        if kind == "grid-hits-every-knot":
+            assert np.isin(est.spline.knots, u).all()
+        else:
+            assert np.count_nonzero(np.diff(u) == 0.0) > 9000
+        density = est(u)
+        assert np.array_equal(estimator_module._density_on_grid(est.spline, u), density)
+        assert quadrature_normalization(est) == float(simpson(density, x=u))
+
     def test_simpson_near_the_float_limit(self):
         # the products of neighbouring spacings, about 5e607, overflow
         values = np.array([1e308, 1.7e308, 1.5e308, 1.2e308])

@@ -539,8 +539,58 @@ class TestBatchedKnuthScan:
         assert not any(array.flags.writeable for array in layout)
         with pytest.raises(ValueError, match="read-only"):
             layout.k[0] = 1.0
-        assert np.array_equal(np.sort(layout.order), np.arange(200 * 201 // 2))
-        assert np.all(np.diff((layout.k / layout.b_of_edge)[layout.order]) >= 0.0)
+        # 5,149 of the 20,100 left edges repeat an edge of B / 2 or are lo:
+        # each distinct edge is searched once, in increasing k / B
+        assert layout.canonical.size == 200 * 201 // 2
+        assert np.array_equal(np.unique(layout.canonical), np.arange(14_951))
+        assert layout.canonical.dtype == layout.b_index.dtype == np.int32
+        assert np.all(np.diff(layout.k / layout.bs[layout.b_index]) >= 0.0)
+
+    @pytest.mark.parametrize("delta, step", [
+        (4.450147717014404e-306, np.nextafter(np.finfo(float).tiny, np.inf)),
+        (4.4501477170144015e-306, np.nextafter(np.finfo(float).tiny, 0.0)),
+    ], ids=["one-ulp-above", "one-ulp-below"])
+    def test_steps_either_side_of_the_smallest_normal_float(self, delta, step, monkeypatch):
+        # delta / 200 one ulp either side of the smallest normal float: above
+        # it the distinct edges are searched and gathered, below it halving B
+        # no longer halves the step exactly, and every edge is searched by
+        # the per-edge formula.  Each edge of every B is also a sample, so an
+        # edge one ulp off changes a count.
+        assert delta / 200 == step
+        values = np.unique(np.concatenate([np.linspace(0.0, delta, b + 1) for b in range(1, 201)]))
+        histogram_module._chunk_layout(1, 200)  # built, so only the scan lists edges below
+        per_edge = []
+        edge_indices = histogram_module._edge_indices
+
+        def recording(bs, starts):
+            per_edge.append(bs.size)
+            return edge_indices(bs, starts)
+
+        monkeypatch.setattr(histogram_module, "_edge_indices", recording)
+        assert_scan_matches_per_step_scan(values, 200)
+        # the scan runs twice: for its posteriors and for its argmax
+        assert per_edge == ([] if step > np.finfo(float).tiny else [200, 200])
+
+    def test_first_chunk_edges_equal_their_distinct_edges(self):
+        # every left edge gathered from the searched edges is that of
+        # np.linspace(lo, hi, B + 1), whenever the scan takes that path
+        layout = histogram_module._chunk_layout(1, 200)
+        rng = np.random.default_rng(24)
+        checked = 0
+        for exponent in range(-1074, 1024, 6):
+            delta = math.ldexp(rng.uniform(1.0, 2.0), exponent)
+            for lo in (0.0, -0.37 * delta, 1.5, -3e5):
+                hi = lo + delta
+                if not (math.isfinite(hi) and hi > lo):
+                    continue
+                steps = (hi - lo) / layout.bs
+                if not steps[-1] > np.finfo(float).tiny:
+                    continue
+                gathered = (layout.k * steps.take(layout.b_index) + lo).take(layout.canonical)
+                expected = np.concatenate([np.linspace(lo, hi, b + 1)[:-1] for b in range(1, 201)])
+                assert np.array_equal(gathered.view(np.int64), expected.view(np.int64))
+                checked += 1
+        assert checked > 500
 
     # the first chunk is B = 1..min(K, 361): these bounds build its layout,
     # reuse it, replace it and add later chunks
@@ -568,8 +618,8 @@ class TestBatchedKnuthScan:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # the layout of 1..361 is about 1.6 MB, and those of 1..200 and
-        # 1..37 would add 0.5 MB
+        # the layout of 1..361 is about 0.87 MB, and those of 1..200 and
+        # 1..37 would add 0.28 MB
         assert retained < 2e6
         assert histogram_module._chunk_layout.cache_info().currsize == 1
 
