@@ -58,9 +58,17 @@ class UsageError(Exception):
     """Bad flags, bad config values, or an invalid flag combination."""
 
 
+_RANGE = "tuple[float, float]"  # a pair of numbers
+# the types of value each annotation of RunConfig admits; exact ``type``
+# tests keep bools out of number keys
+_ADMITTED = {"str": (str,), "str | None": (str, type(None)), "bool": (bool,), "int": (int,),
+             "float": (int, float), _RANGE: (list, tuple)}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings of one CLI invocation."""
+    """Fully resolved settings of one CLI invocation, checked on construction
+    by one rule whatever their source: flags, a config file or Python."""
 
     command: str
     out_dir: str = "."
@@ -86,6 +94,18 @@ class RunConfig:
 
     def __post_init__(self):
         # every command checks every setting, so a bad value fails fast
+        for key, field in self.__dataclass_fields__.items():
+            value, kind = getattr(self, key), field.type  # the annotation, as text
+            if type(value) not in _ADMITTED[kind] or kind == _RANGE and not (
+                    len(value) == 2 and {*map(type, value)} <= {int, float}):
+                raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
+            if kind in ("float", _RANGE):  # numbers as floats, as the flags give them
+                try:
+                    number = float(value) if kind == "float" else tuple(map(float, value))
+                except OverflowError:
+                    raise UsageError(
+                        f"config key {key!r} is beyond the float range: {value!r}") from None
+                object.__setattr__(self, key, number)
         for key in ("input", "out_dir", "curve_a", "curve_b"):
             path = getattr(self, key) or ""
             if "\0" in path:
@@ -110,8 +130,8 @@ class RunConfig:
         return BinRule.parse(self.rule, knuth_search_max=self.knuth_max)
 
     def ranges(self) -> ScenarioRanges:
-        return ScenarioRanges(v0=tuple(self.v0_range), t_react=tuple(self.t_react_range),
-                              decel=tuple(self.decel_range), dt=self.dt)
+        return ScenarioRanges(v0=self.v0_range, t_react=self.t_react_range,
+                              decel=self.decel_range, dt=self.dt)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,27 +205,6 @@ def _load_config_file(path: str) -> dict:
     return loaded
 
 
-def _check_config_types(file_config: dict) -> None:
-    """Reject a config-file value whose JSON type does not fit its key, and
-    make the numbers of a float key floats, as its flag does; the exact
-    ``type`` tests keep JSON ``true``/``false`` out of number keys."""
-    for key, value in file_config.items():
-        default = RunConfig.__dataclass_fields__[key].default
-        if isinstance(default, tuple):  # a range: a pair of numbers
-            ok = type(value) is list and len(value) == 2 and {*map(type, value)} <= {int, float}
-        elif isinstance(default, float):
-            ok = type(value) in (int, float)
-        else:  # a default of None stands for an optional path
-            ok = type(value) in ((str, type(None)) if default is None else (type(default),))
-        if not ok:
-            raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
-        if isinstance(default, (tuple, float)):
-            try:
-                file_config[key] = np.array(value, dtype=float).tolist()
-            except OverflowError:
-                raise UsageError(f"config key {key!r} is beyond the float range: {value!r}") from None
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge flags over config-file values over defaults into a RunConfig."""
     file_config = _load_config_file(args.config) if getattr(args, "config", None) else {}
@@ -213,14 +212,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     unknown = set(file_config) - (set(RunConfig.__dataclass_fields__) - {"command"})
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    _check_config_types(file_config)
 
     merged = dict(file_config)
     for key, value in vars(args).items():
         if key in ("config", "emit_config", "command") or value is None:
             continue
         merged[key] = value
-    merged = {k: tuple(v) if isinstance(v, list) else v for k, v in merged.items()}
     return RunConfig(command=args.command, **merged)
 
 

@@ -375,13 +375,14 @@ def _knuth_chunks(values: np.ndarray, search_max: int):
     The first chunk, the whole scan at the default bound, searches each
     distinct edge once, in increasing ``k / B``, so each search starts
     where the last one ended.  When the step ``delta / B`` of the chunk's
-    largest ``B`` rounds above the smallest normal float, every step is
-    ``delta / B`` rounded in the normal range, where doubling ``B`` halves
-    the step exactly.  So edge ``k`` of an even ``B`` with ``k`` even is
-    edge ``k / 2`` of ``B / 2``, bit for bit, and every edge ``k = 0`` is
-    ``lo``; each such edge is searched once and gathered.  On a spread
-    whose steps reach the subnormal floats, the chunk computes and
-    searches every edge by the per-edge formula.  The latest chunk layout
+    largest ``B`` rounds above the smallest normal float, every edge is
+    ``k * step + lo``, and every step is ``delta / B`` rounded in the
+    normal range, where doubling ``B`` halves the step exactly.  So edge
+    ``k`` of an even ``B`` with ``k`` even is edge ``k / 2`` of ``B / 2``,
+    bit for bit, and every edge ``k = 0`` is ``lo``; the first chunk
+    searches each such edge once and gathers it.  A chunk whose steps
+    reach the subnormal floats computes and searches every edge by
+    np.linspace's per-edge formula.  The latest chunk layout
     is kept, so repeated scans of one chunk (``search_max`` up to 361)
     build it once (see :func:`_chunk_layout`).
     """
@@ -393,16 +394,14 @@ def _knuth_chunks(values: np.ndarray, search_max: int):
         layout = _chunk_layout(first, last)
         bs, starts = layout.bs, layout.starts
         steps = delta / bs  # np.linspace's step of each B
-        if layout.canonical is not None and steps[-1] > _SMALLEST_NORMAL:
+        if steps[-1] > _SMALLEST_NORMAL:
             # numpy keeps the lower bound of its search while the keys
             # increase, so keys in value order probe nearby samples
-            left_edges = layout.k * steps.take(layout.b_index) + lo
-            positions = np.searchsorted(sorted_values, left_edges).take(layout.canonical)
-        else:
-            if layout.canonical is None:
-                k, b_index = layout.k, layout.b_index
-            else:  # the first chunk's steps reach the subnormal floats
-                k, b_index = _edge_indices(bs, starts)
+            positions = np.searchsorted(sorted_values, layout.k * steps.take(layout.b_index) + lo)
+            if layout.canonical is not None:
+                positions = positions.take(layout.canonical)
+        else:  # the steps reach the subnormal floats
+            k, b_index = _edge_indices(bs, starts)
             step = steps.take(b_index)
             # np.linspace computes k * (delta / B) + lo, or k / B * delta when
             # the step underflows to 0

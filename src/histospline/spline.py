@@ -162,8 +162,8 @@ class CubicSplineModel:
             raise OutOfSupportError(
                 f"evaluation point {bad!r} outside support [{lo!r}, {hi!r}]"
             )
-        idx = np.searchsorted(self.knots, arr, side="right") - 1
-        idx = np.clip(idx, 0, self.knots.size - 2)
+        # interior knots at or below u count its segment; the top knot closes the last
+        idx = np.searchsorted(self.knots[1:-1], arr, side="right")
         return idx, arr - self.knots[idx]
 
     def __call__(self, u):

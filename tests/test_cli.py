@@ -415,6 +415,32 @@ class TestEstimate:
         assert abs(float(rows[0][1])) <= 1e-12
         assert abs(float(rows[-1][1])) <= 1e-12
 
+    def test_simulate_holds_one_n_sized_array_when_samples_is_built(self, tmp_path,
+                                                                    monkeypatch):
+        # the corpus is freed once flattened: when Samples is built, the
+        # flattened positions are the one large block alive
+        argv = ["estimate", "--simulate", "--count", "200", "--seed", "3", "--rule", "fixed:2",
+                "--bc", "natural", "--out-dir", str(tmp_path / "out")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0  # first-use imports are not counted below
+        held = []
+        samples = cli.Samples
+
+        def traced_samples(values):
+            held.append((tracemalloc.get_traced_memory()[0], values.size))
+            return samples(values)
+
+        monkeypatch.setattr(cli, "Samples", traced_samples)
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+        finally:
+            tracemalloc.stop()
+        [(retained, n)] = held
+        assert n == read_summary(tmp_path / "out" / "summary.jsonl")["sample_count"]
+        assert retained < 1.1 * 8 * n
+
     def test_histogram_csv_matches_library(self, small_corpus_file, tmp_path):
         out = tmp_path / "est"
         assert main([
@@ -925,6 +951,25 @@ class TestConfigHandling:
             "generate", "--count", "3", "--out-dir", str(tmp_path),
             "--v0-range", "30", "20",
         ]) == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("rule", 5), ("out_dir", 5), ("column", 5), ("simulate", "no"), ("v0_range", 5),
+        ("count", np.int64(3)), ("dt", np.float64(0.5)),
+    ], ids=["rule", "out_dir", "column", "simulate", "v0_range", "numpy-int", "numpy-float"])
+    def test_run_config_built_in_python_checks_its_types(self, key, value):
+        # one type rule for flags, config files and Python: a wrong type
+        # raises no AttributeError or TypeError and is not accepted, and a
+        # numpy scalar is no int or float
+        settings = {"command": "estimate", "simulate": True, key: value}
+        message = f"config key {key!r} has a value of the wrong type: {value!r}"
+        with pytest.raises(cli.UsageError, match=f"^{re.escape(message)}$"):
+            cli.RunConfig(**settings)
+
+    def test_run_config_built_in_python_stores_floats(self):
+        config = cli.RunConfig(command="generate", dt=1, v0_range=[20, 30])
+        assert type(config.dt) is float and config.dt == 1.0
+        assert type(config.v0_range) is tuple and config.v0_range == (20.0, 30.0)
+        assert {*map(type, config.v0_range)} == {float}
 
 
 def test_import_loads_no_scipy():

@@ -133,6 +133,9 @@ FLOATS = st.sampled_from(["0", "0.5", "1", "4", "20", "-1", "2.5", "5e-324", "1e
 COUNTS = st.sampled_from(["1", "2", "3", "0", "-1", str(10**8 + 1), *HUGE_INTEGERS])
 # strings hold NUL, lone surrogates, control characters and line breaks
 STRINGS = st.text(st.sampled_from("a.é \0\ud800\udfff\x01\x1b\n\r\x7f"), max_size=6)
+# ordered pairs that make a valid range of each generator key: a pair of
+# random FLOATS rarely is one
+VALID_RANGES = st.sampled_from(["[0.5, 1]", "[1, 4]", "[2.5, 20]", "[4, 4]", "[0.5, 20]"])
 WRONG_TYPES = ["true", "false", "null", "[]", "{}", "[1, 2, 3]", "2.5"]
 STRING_KEYS = {"out_dir", "input", "column", "rule", "bc", "curve_a", "curve_b"}
 
@@ -154,7 +157,8 @@ def config_text(tmp):
         "simulate": st.sampled_from(["true", "true", "false"]),
         "count": COUNTS,
         "seed": st.sampled_from(["0", "42", "-1", str(2**64), *HUGE_INTEGERS]),
-        "v0_range": st.lists(FLOATS, min_size=2, max_size=2).map(", ".join).map("[{}]".format),
+        "v0_range": st.one_of(VALID_RANGES, st.lists(FLOATS, min_size=2, max_size=2).map(
+            ", ".join).map("[{}]".format)),
         "dt": FLOATS,
         "rule": st.one_of(st.sampled_from(["knuth", "sturges", " Scott ", "fixed:3", "fixed:0",
                                            "fixed:1000001", "fixed:" + "9" * 5000, "fixed",
