@@ -457,13 +457,14 @@ def _lgamma_half(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chunk_bounds(search_max: int):
-    """``(first, last)`` of each chunk of the scan over ``1..search_max``."""
+    """``(first, last)`` of each chunk of the scan over ``1..search_max``:
+    the largest ``last`` whose ``B = first..last`` have at most
+    ``KNUTH_SCAN_CHUNK`` left edges, or ``first`` itself."""
     first = 1
     while first <= search_max:
-        last, size = first, first
-        while last < search_max and size + last + 1 <= KNUTH_SCAN_CHUNK:
-            last += 1
-            size += last
+        # first + ... + last = (last (last + 1) - first (first - 1)) / 2
+        last = (math.isqrt(8 * KNUTH_SCAN_CHUNK + 4 * first * (first - 1) + 1) - 1) // 2
+        last = min(max(last, first), search_max)
         yield first, last
         first = last + 1
 
@@ -570,10 +571,10 @@ def _bin_masses(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     # block the cumulative masses at the sorted block's edge positions,
     # summed over blocks and differenced.  Equal masses have the same
     # cumulative sums in any order, so only the block's values are sorted,
-    # and as cumsum accumulates in order, every block's are a prefix of the
-    # first's.
+    # and as cumsum accumulates in order, every block's are the running
+    # sums of 1/N, read from their per-binade progressions.
     n = values.size
-    block_cumsum = np.concatenate(([0.0], np.full(min(n, HISTOGRAM_BLOCK), 1.0 / n).cumsum()))
+    segments = _sum_segments(n)
     cumulative = np.zeros(edges.size)
     for i in range(0, n, HISTOGRAM_BLOCK):
         block = np.sort(values[i:i + HISTOGRAM_BLOCK])
@@ -581,5 +582,55 @@ def _bin_masses(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
             block.searchsorted(edges[:-1], side="left"),
             block.searchsorted(edges[-1:], side="right"),
         ))
-        cumulative += block_cumsum[positions]
+        cumulative += _sums_at(segments, positions)
     return np.diff(cumulative)
+
+
+def _sum_segments(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The running sums ``s_k`` of ``k`` masses ``w = 1/n``, as np.cumsum
+    adds them (``s_0 = 0``, ``s_k = s_{k-1} + w`` rounded), for
+    ``k = 0..min(n, HISTOGRAM_BLOCK)``, as segments ``(starts, bases,
+    steps)``: ``s_k = bases[i] + (k - starts[i]) * steps[i]`` from
+    ``starts[i]`` up to the next start, bit for bit.
+
+    Within a binade ``[2^e, 2^(e+1))`` every sum is a multiple of its ulp,
+    and a step adds ``w`` rounded to such a multiple.  Only a tie depends
+    on the sum, and goes to the even multiple; a sum reached by a step
+    within the binade already is one.  So after one such step every step
+    adds the same ``d``, and the sums are ``s + j*d``, exactly, until one
+    reaches ``2^(e+1)``: at most two segments per binade, the sum that
+    enters it (which may be odd) and the progression after it.  The step
+    that leaves a binade is taken in floats.
+    """
+    w, count = 1.0 / n, min(n, HISTOGRAM_BLOCK)
+    starts, bases, steps = [0], [0.0], [0.0]
+    k, s = 1, w
+    while k <= count:
+        # s = s_k enters its binade, below top
+        starts.append(k)
+        bases.append(s)
+        steps.append(0.0)
+        top = math.ldexp(1.0, math.frexp(s)[1])
+        following = s + w
+        k += 1
+        if following < top and k <= count:
+            # w <= following < top <= 2 * following, so both differences
+            # are exact; d is about w, as a block's sums stay below 2^17 w.
+            # Both are multiples of the ulp, fewer than 2^53 of them, so
+            # their quotient rounds to an integer only if it is one.
+            d = (following + w) - following
+            terms = math.ceil((top - following) / d)
+            starts.append(k)
+            bases.append(following)
+            steps.append(d)
+            k += terms
+            following = following + (terms - 1) * d + w
+        s = following
+    return np.array(starts), np.array(bases), np.array(steps)
+
+
+def _sums_at(segments, positions: np.ndarray) -> np.ndarray:
+    # the running sums at the given positions, from _sum_segments
+    starts, bases, steps = segments
+    i = starts.searchsorted(positions, side="right") - 1
+    return bases.take(i) + (positions - starts.take(i)) * steps.take(i)

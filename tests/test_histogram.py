@@ -24,7 +24,12 @@ from histospline import (
 )
 import histospline.histogram as histogram_module
 from histospline.datagen import MAX_CORPUS_SAMPLES
-from histospline.histogram import LGAMMA_TABLE_SIZE, MAX_BIN_COUNT, MAX_KNUTH_SEARCH
+from histospline.histogram import (
+    HISTOGRAM_BLOCK,
+    LGAMMA_TABLE_SIZE,
+    MAX_BIN_COUNT,
+    MAX_KNUTH_SEARCH,
+)
 
 
 def uniform_samples(values):
@@ -524,6 +529,28 @@ class TestBatchedKnuthScan:
             tracemalloc.stop()
         assert peak < 16e6
 
+    # 6 = 1 + 2 + 3: a chunk whose left edges fill it exactly
+    @pytest.mark.parametrize("chunk", [histogram_module.KNUTH_SCAN_CHUNK, 1, 6, 7, 64])
+    def test_chunk_bounds_equal_the_loop(self, chunk, monkeypatch):
+        def loop_chunk_bounds(search_max):
+            # add B to the chunk while its left edges fit
+            first = 1
+            while first <= search_max:
+                last, size = first, first
+                while last < search_max and size + last + 1 <= chunk:
+                    last += 1
+                    size += last
+                yield first, last
+                first = last + 1
+
+        monkeypatch.setattr(histogram_module, "KNUTH_SCAN_CHUNK", chunk)
+        # every bound across the first chunk of the default size, which ends
+        # at 361, then a stride through the rest: every bound would take
+        # 5e7 steps at a chunk of one
+        for search_max in [*range(1, 401), *range(401, MAX_KNUTH_SEARCH, 373), MAX_KNUTH_SEARCH]:
+            assert list(histogram_module._chunk_bounds(search_max)) == list(
+                loop_chunk_bounds(search_max)), search_max
+
     def test_numpy_heads_equal_the_per_b_head(self):
         # every B the scan can reach, in the chunks the scan builds
         for first, last in histogram_module._chunk_bounds(MAX_KNUTH_SEARCH):
@@ -657,6 +684,47 @@ def oracle_masses(values, weights, edges):
     return np.asarray(masses)
 
 
+# Sample counts whose running sums of 1/N cross a binade where 1/N is a tie
+# between two multiples of the binade's ulp: progressions whose step is
+# taken from the sum that enters each binade go wrong from position 8 or 16
+TIE_BINADE_SIZES = [339_206, 1_717_216, 46_127_488, 57_181_063, 85_749_772, 99_721_176]
+
+
+def cumsum_table(n):
+    # the cumulative masses np.histogram reads for a block of weights 1/n
+    return np.concatenate(([0.0], np.full(min(n, HISTOGRAM_BLOCK), 1.0 / n).cumsum()))
+
+
+class TestRunningSums:
+    def test_segments_equal_the_cumsum_table_at_every_position(self):
+        rng = np.random.default_rng(27)
+        sizes = [*range(2, 4_001), *range(HISTOGRAM_BLOCK, HISTOGRAM_BLOCK + 3_001),
+                 *rng.integers(2, MAX_CORPUS_SAMPLES, 200, endpoint=True).tolist(),
+                 *TIE_BINADE_SIZES]
+        j = np.arange(HISTOGRAM_BLOCK + 1.0)
+        sums = np.empty(HISTOGRAM_BLOCK + 1)
+        for n in sizes:
+            table = cumsum_table(n)
+            starts, bases, steps = histogram_module._sum_segments(n)
+            ends = [*starts[1:].tolist(), table.size]
+            # s_k = bases[i] + (k - starts[i]) * steps[i] from starts[i] on
+            for start, end, base, step in zip(starts.tolist(), ends, bases.tolist(), steps.tolist()):
+                np.add(base, j[:end - start] * step, out=sums[start:end])
+            # the segments cover every position once, in order
+            assert starts[0] == 0 and np.all(np.diff(starts) > 0) and starts[-1] < table.size
+            assert np.array_equal(sums[:table.size], table), n
+            # the zero sum, and two segments per binade: the sums of a full
+            # block, w to 65,536 w, span 17 binades
+            assert starts.size <= 35
+
+    @pytest.mark.parametrize("n", [2, 1_000, HISTOGRAM_BLOCK, *TIE_BINADE_SIZES])
+    def test_sums_at_positions_read_the_table(self, n):
+        table = cumsum_table(n)
+        positions = np.arange(table.size)
+        sums = histogram_module._sums_at(histogram_module._sum_segments(n), positions)
+        assert np.array_equal(sums, table)
+
+
 class TestBuildHistogram:
     def test_symmetric_split(self):
         hist = build_histogram(uniform_samples([0.0, 1.0, 2.0, 3.0]), 2)
@@ -713,6 +781,19 @@ class TestBuildHistogram:
         # two decimals: many ties, and samples on the edges of B = 60
         values = np.round(rng.normal(size=size), 2)
         values[:2] = -3.0, 3.0
+        s = Samples(values)
+        for bins in (7, 60, 1000):
+            hist = build_histogram(s, bins)
+            masses, _ = np.histogram(values, bins=hist.edges, weights=np.full(size, 1.0 / size))
+            expected = masses / (masses.sum() * np.diff(hist.edges))
+            assert np.array_equal(hist.heights, expected)
+
+    # many blocks, whose running sums of 1/N cross a binade where 1/N is a
+    # tie between two multiples of its ulp
+    @pytest.mark.parametrize("size", TIE_BINADE_SIZES[:2])
+    def test_masses_equal_numpy_histogram_bits_across_tie_binades(self, size):
+        rng = np.random.default_rng(size)
+        values = np.round(rng.normal(size=size), 2)
         s = Samples(values)
         for bins in (7, 60, 1000):
             hist = build_histogram(s, bins)
