@@ -16,7 +16,7 @@ import os
 import sys
 import warnings
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import count, islice
 from operator import itemgetter
 from pathlib import Path
@@ -59,10 +59,22 @@ class UsageError(Exception):
 
 
 _RANGE = "tuple[float, float]"  # a pair of numbers
-# the types of value each annotation of RunConfig admits; exact ``type``
-# tests keep bools out of number keys
-_ADMITTED = {"str": (str,), "str | None": (str, type(None)), "bool": (bool,), "int": (int,),
-             "float": (int, float), _RANGE: (list, tuple)}
+# per annotation of RunConfig: the types of value it admits (exact ``type``
+# tests keep bools out of number keys) and the argparse keywords of its flag
+_KINDS = {
+    "str": ((str,), {}),
+    "str | None": ((str, type(None)), {}),
+    "bool": ((bool,), {"action": "store_const", "const": True}),
+    "int": ((int,), {"type": int}),
+    "float": ((int, float), {"type": float}),
+    _RANGE: ((list, tuple), {"nargs": 2, "type": float, "metavar": ("LO", "HI")}),
+}
+_GENERATOR = ("generate", "estimate")  # the commands that simulate a corpus
+
+
+def _setting(default, help: str, *commands: str):
+    """A :class:`RunConfig` field whose flag ``commands`` take, with ``help``."""
+    return field(default=default, metadata=dict.fromkeys(commands, help))
 
 
 @dataclass(frozen=True)
@@ -73,30 +85,36 @@ class RunConfig:
     command: str
     out_dir: str = "."
     # input source: a CSV column XOR in-process generation
-    input: str | None = None
-    column: str = "x"
-    simulate: bool = False
+    input: str | None = _setting(None, "input CSV file", "estimate")
+    column: str = _setting("x", "numeric column to estimate (default: x)", "estimate")
+    simulate: bool = _setting(
+        False, "estimate from a freshly simulated corpus instead of a file", "estimate")
     # generator settings
-    count: int = 1000
-    seed: int = 42
-    v0_range: tuple[float, float] = DEFAULT_RANGES.v0
-    t_react_range: tuple[float, float] = DEFAULT_RANGES.t_react
-    decel_range: tuple[float, float] = DEFAULT_RANGES.decel
-    dt: float = DEFAULT_RANGES.dt
+    count: int = _setting(1000, "number of series to simulate", *_GENERATOR)
+    seed: int = _setting(42, "corpus RNG seed", *_GENERATOR)
+    v0_range: tuple[float, float] = _setting(
+        DEFAULT_RANGES.v0, "initial speed range, m/s", *_GENERATOR)
+    t_react_range: tuple[float, float] = _setting(
+        DEFAULT_RANGES.t_react, "reaction time range, s", *_GENERATOR)
+    decel_range: tuple[float, float] = _setting(
+        DEFAULT_RANGES.decel, "deceleration range, m/s^2", *_GENERATOR)
+    dt: float = _setting(DEFAULT_RANGES.dt, "sample interval, s", *_GENERATOR)
     # estimation settings
-    rule: str = "knuth"
-    bc: str = "not-a-knot"
-    grid: int = 1001
-    knuth_max: int = DEFAULT_KNUTH_SEARCH_MAX
-    # compare inputs
-    curve_a: str | None = None
-    curve_b: str | None = None
+    rule: str = _setting("knuth", "bin rule: sqrt|sturges|scott|fd|knuth|fixed:K", "estimate")
+    bc: str = _setting("not-a-knot", "spline boundary condition", "estimate")
+    grid: int = field(default=1001, metadata={"estimate": "points in the exported density curve",
+                                              "compare": "common re-interpolation grid size"})
+    knuth_max: int = _setting(
+        DEFAULT_KNUTH_SEARCH_MAX, "upper bound of the Knuth bin scan", "estimate")
+    # compare inputs, its two positional arguments
+    curve_a: str | None = _setting(None, "first density curve CSV", "compare")
+    curve_b: str | None = _setting(None, "second density curve CSV", "compare")
 
     def __post_init__(self):
         # every command checks every setting, so a bad value fails fast
-        for key, field in self.__dataclass_fields__.items():
-            value, kind = getattr(self, key), field.type  # the annotation, as text
-            if type(value) not in _ADMITTED[kind] or kind == _RANGE and not (
+        for key, setting in self.__dataclass_fields__.items():
+            value, kind = getattr(self, key), setting.type  # the annotation, as text
+            if type(value) not in _KINDS[kind][0] or kind == _RANGE and not (
                     len(value) == 2 and {*map(type, value)} <= {int, float}):
                 raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
             if kind in ("float", _RANGE):  # numbers as floats, as the flags give them
@@ -141,52 +159,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_generator_options(sub):
-    sub.add_argument("--count", type=int, help="number of series to simulate")
-    sub.add_argument("--seed", type=int, help="corpus RNG seed")
-    sub.add_argument("--v0-range", nargs=2, type=float, metavar=("LO", "HI"),
-                     help="initial speed range, m/s")
-    sub.add_argument("--t-react-range", nargs=2, type=float, metavar=("LO", "HI"),
-                     help="reaction time range, s")
-    sub.add_argument("--decel-range", nargs=2, type=float, metavar=("LO", "HI"),
-                     help="deceleration range, m/s^2")
-    sub.add_argument("--dt", type=float, help="sample interval, s")
-
-
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file (flags take precedence)")
-    sub.add_argument("--out-dir", help="directory for output artifacts")
-    sub.add_argument("--emit-config", action="store_true",
-                     help="print the resolved config as JSON and exit")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="histospline",
                      description="Histogram cubic-spline density estimation toolkit")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    gen = commands.add_parser("generate", parents=[], help="write a braking corpus CSV")
-    _add_generator_options(gen)
-    _add_common(gen)
-
-    est = commands.add_parser("estimate", help="estimate a density and export artifacts")
-    est.add_argument("--input", help="input CSV file")
-    est.add_argument("--column", help="numeric column to estimate (default: x)")
-    est.add_argument("--simulate", action="store_const", const=True, default=None,
-                     help="estimate from a freshly simulated corpus instead of a file")
-    _add_generator_options(est)
-    est.add_argument("--rule", help="bin rule: sqrt|sturges|scott|fd|knuth|fixed:K")
-    est.add_argument("--bc", choices=[b.value for b in Boundary],
-                     help="spline boundary condition")
-    est.add_argument("--grid", type=int, help="points in the exported density curve")
-    est.add_argument("--knuth-max", type=int, help="upper bound of the Knuth bin scan")
-    _add_common(est)
-
-    cmp_ = commands.add_parser("compare", help="KL divergence between two curve CSVs")
-    cmp_.add_argument("curve_a", help="first density curve CSV")
-    cmp_.add_argument("curve_b", help="second density curve CSV")
-    cmp_.add_argument("--grid", type=int, help="common re-interpolation grid size")
-    _add_common(cmp_)
+    for command, help in (("generate", "write a braking corpus CSV"),
+                          ("estimate", "estimate a density and export artifacts"),
+                          ("compare", "KL divergence between two curve CSVs")):
+        sub = commands.add_parser(command, help=help)
+        for key, setting in RunConfig.__dataclass_fields__.items():
+            if command in setting.metadata:  # one flag per setting, typed by its annotation
+                keywords = dict(_KINDS[setting.type][1], help=setting.metadata[command])
+                if key == "bc":
+                    keywords["choices"] = [b.value for b in Boundary]
+                positional = key in ("curve_a", "curve_b")
+                sub.add_argument(key if positional else "--" + key.replace("_", "-"), **keywords)
+        sub.add_argument("--config", help="JSON config file (flags take precedence)")
+        sub.add_argument("--out-dir", help="directory for output artifacts")
+        sub.add_argument("--emit-config", action="store_true",
+                         help="print the resolved config as JSON and exit")
     return parser
 
 
