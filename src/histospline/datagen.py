@@ -81,8 +81,8 @@ def _real(value, name: str) -> float:
         raise DataError(f"{name} is beyond the float range: {value!r}") from None
 
 
-# Upper bound on the samples of one corpus (1.6 GB of t and x), checked
-# before any scenario is drawn.
+# Upper bound on the samples of one corpus (0.8 GB of x; every series' t
+# is a prefix of one array), checked before any scenario is drawn.
 MAX_CORPUS_SAMPLES = 10**8
 
 # Samples computed per block by _simulate; bounds its temporaries the way

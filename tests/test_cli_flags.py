@@ -5,8 +5,7 @@ import pytest
 
 from histospline import cli
 
-# (command, arguments, config key, value): each setting through its flag,
-# in every command that takes it, as the type its annotation names
+# (command, arguments, config key, the value RunConfig holds)
 FLAGS = [
     *[(command, [*source, *flag], key, value)
       for command, source in (("generate", []), ("estimate", ["--input", "in.csv"]))

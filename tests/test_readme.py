@@ -1,13 +1,16 @@
 """The README's examples run as written: the command-line block, line by
-line through ``cli.main``, and the library quick start through ``exec``."""
+line through ``cli.main``, and the library quick start through ``exec``;
+its settings table lists what the parser and ``RunConfig`` declare."""
 
+import argparse
+import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from histospline.cli import main
+from histospline.cli import RunConfig, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -40,3 +43,25 @@ def test_library_quick_start_runs():
     estimate = namespace["estimate"]
     assert estimate.normalization() == pytest.approx(1.0, abs=1e-12)
     assert namespace["other"] is not estimate
+
+
+def test_settings_table_matches_run_config(capsys):
+    # each row: config key, flag, the commands that take it, the default
+    # as --emit-config prints it
+    rows = re.findall(r"^\| `(\w+)` \| `([\w-]+)`[^|]* \| ([a-z, ]+) \| `(.+)` \|$",
+                      README.read_text(), re.M)
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    spellings, listed = {}, {}  # config key -> flag or positional name, and its commands
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            spellings[action.dest] = (action.option_strings or [action.dest])[0]
+            listed.setdefault(action.dest, []).append(command)
+    assert main(["generate", "--emit-config"]) == 0
+    defaults = json.loads(capsys.readouterr().out)
+    keys = [key for key in RunConfig.__dataclass_fields__ if key != "command"]
+    assert rows == [(key, spellings[key], ", ".join(listed[key]), json.dumps(defaults[key]))
+                    for key in keys]
+    for key in keys:  # the commands are those the field's metadata names
+        metadata = RunConfig.__dataclass_fields__[key].metadata
+        assert listed[key] == [*metadata] or key == "out_dir" and not metadata
