@@ -164,15 +164,20 @@ def _simulate(v0: np.ndarray, t_react: np.ndarray, decel: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.arange(lengths.max()) * dt
         reaction_distance = v0 * t_react
+        # the rest samples' position, by their operations
+        stopping_distance = reaction_distance + v0 * stop - half_decel * stop**2
         for lo in range(0, x.size, CORPUS_BLOCK):
             index = np.arange(lo, min(lo + CORPUS_BLOCK, x.size))
             series = np.searchsorted(ends, index, side="right")
             tb = t[index - starts[series]]
             v0b, t_react_b = v0[series], t_react[series]
             # Clamping the braking-phase offset at the stop keeps the sampled
-            # positions monotone through the rest phase.
+            # positions monotone through the rest phase, and clamping the
+            # position at the stopping distance keeps the last braking
+            # samples, whose rounding can land an ulp above it, below it.
             s = np.clip(tb - t_react_b, 0.0, stop[series])
             braking = reaction_distance[series] + v0b * s - half_decel[series] * s**2
+            np.minimum(braking, stopping_distance[series], out=braking)
             x[lo:lo + index.size] = np.where(tb <= t_react_b, v0b * tb, braking)
     t.setflags(write=False)
     x.setflags(write=False)

@@ -94,7 +94,9 @@ class Samples:
     Values must be finite, not all equal, with a finite spread
     ``max - min``, which every bin rule and the histogram edges are built
     from.  The ``(min, max)`` found by that check is kept as ``bounds``, a
-    pair of floats derived from the values, not a field.
+    pair of floats derived from the values, not a field.  The first Knuth
+    scan sorts the values once and keeps that read-only copy, another 8N
+    bytes, for later scans and :func:`build_histogram` to read.
     """
 
     values: np.ndarray
@@ -114,9 +116,18 @@ class Samples:
             )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "bounds", (lo, hi))
+        object.__setattr__(self, "_sorted_values", None)
 
     def __len__(self) -> int:
         return self.values.size
+
+    def _sorted(self) -> np.ndarray:
+        # the values in increasing order: sorted on the first call, then kept
+        if self._sorted_values is None:
+            sorted_values = np.sort(self.values)
+            sorted_values.setflags(write=False)
+            object.__setattr__(self, "_sorted_values", sorted_values)
+        return self._sorted_values
 
 
 @dataclass(frozen=True)
@@ -266,7 +277,7 @@ def select_bin_count(samples: Samples, rule: BinRule) -> int:
     if rule.tag == "fixed":
         return rule.fixed_count
     if rule.tag == "knuth":
-        return _knuth_scan(values, rule.knuth_search_max)
+        return _knuth_scan(samples._sorted(), rule.knuth_search_max)
 
     lo, hi = samples.bounds
     if rule.tag == "scott":
@@ -332,18 +343,19 @@ KNUTH_SCAN_CHUNK = 1 << 16
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
-def _knuth_scan(values: np.ndarray, search_max: int) -> int:
-    """Argmax of the posterior over ``B = 1..search_max``; ties go to the
-    smallest ``B``.
+def _knuth_scan(sorted_values: np.ndarray, search_max: int) -> int:
+    """Argmax of the posterior of the samples ``sorted_values``, in
+    increasing order, over ``B = 1..search_max``; ties go to the smallest
+    ``B``.
 
     Every ``B`` is scored in numpy, within a rounding bound of its exact
     posterior; only the ``B`` whose bound reaches the best posterior seen
     are summed again, by :func:`knuth_log_posterior`, in increasing
     order.  The argmax is therefore that of an exact per-``B`` scan.
     """
-    n = values.size
+    n = sorted_values.size
     best_b, best_lp = 1, -math.inf
-    for bs, starts, counts, approx, err in _knuth_chunks(values, search_max):
+    for bs, starts, counts, approx, err in _knuth_chunks(sorted_values, search_max):
         # a B whose upper bound is below another B's lower bound, or below
         # an exact posterior already found, is neither the argmax nor tied
         # with it
@@ -356,8 +368,10 @@ def _knuth_scan(values: np.ndarray, search_max: int) -> int:
     return best_b
 
 
-def _knuth_chunks(values: np.ndarray, search_max: int):
-    """Score ``B = 1..search_max`` in chunks of consecutive ``B``.
+def _knuth_chunks(sorted_values: np.ndarray, search_max: int):
+    """Score ``B = 1..search_max`` in chunks of consecutive ``B``, for the
+    samples ``sorted_values``, in increasing order (as the scan's caller
+    sorts them once and keeps them, see :class:`Samples`).
 
     Yields ``(bs, starts, counts, approx, err)`` per chunk: ``counts``
     holds the bin counts of every ``B`` in ``bs`` end to end, those of
@@ -367,9 +381,10 @@ def _knuth_chunks(values: np.ndarray, search_max: int):
 
     The left edges of a chunk are laid end to end, at most
     ``KNUTH_SCAN_CHUNK`` of them (or the edges of one larger ``B``); each
-    chunk takes one ``searchsorted``.  The per-bin terms come from a
-    table or the Stirling series (see :func:`_lgamma_half`), whose bound
-    on each term widens ``err``.  Edges and counts are those of
+    chunk takes one ``searchsorted``.  The per-bin terms and their bounds
+    are read from tables below 4,096 and only larger counts take the
+    Stirling series (see :func:`_lgamma_half`); each term's bound widens
+    ``err``.  Edges and counts are those of
     ``np.linspace(lo, hi, B + 1)`` and ``np.histogram``, bit for bit.
 
     The first chunk, the whole scan at the default bound, searches each
@@ -386,7 +401,6 @@ def _knuth_chunks(values: np.ndarray, search_max: int):
     is kept, so repeated scans of one chunk (``search_max`` up to 361)
     build it once (see :func:`_chunk_layout`).
     """
-    sorted_values = np.sort(values)
     lo, hi = sorted_values[0], sorted_values[-1]
     n = sorted_values.size
     delta = hi - lo
@@ -421,38 +435,59 @@ def _knuth_chunks(values: np.ndarray, search_max: int):
         yield bs, starts, counts, approx, err
 
 
-# The scan's per-bin terms lgamma(c + 1/2): from a table below this count,
-# from the Stirling series at and above it, each one within STIRLING_ULPS
-# eps times |term| + 2c + 1 of math.lgamma
+# The scan's per-bin terms lgamma(c + 1/2): the math.lgamma bits below
+# LGAMMA_TABLE_SIZE, the Stirling series at and above it, each one within
+# STIRLING_ULPS eps times |term| + 2c + 1 of math.lgamma.  Both are tabled,
+# with their bounds, for counts below _TABLED_COUNTS.
 LGAMMA_TABLE_SIZE = 256
 STIRLING_ULPS = 16
-_LGAMMA_HALF = np.array([math.lgamma(c + 0.5) for c in range(LGAMMA_TABLE_SIZE)])
-_LGAMMA_HALF.setflags(write=False)
+_TABLED_COUNTS = 4096
+
+
+def _stirling(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``lgamma(c + 1/2)`` of counts ``c >= LGAMMA_TABLE_SIZE`` by the
+    Stirling series, and a bound on each one's distance from
+    ``math.lgamma(c + 1/2)``.
+
+    The series ``c log z - z + log(2 pi) / 2 + 1/(12 z) - 1/(360 z^3) +
+    1/(1260 z^5)``, ``z = c + 1/2``, is truncated below ``1/(1680 z^7)``,
+    under 1e-20 here.  It rounds to a few eps of ``c log z <= |term| +
+    z``, as numpy's float64 ``log`` is held to 1 ulp by its validation
+    set, and ``math.lgamma`` errs by as much.  The bound is 8 times the
+    largest distance measured for counts up to 2e6.
+    """
+    c = counts.astype(float)
+    z = c + 0.5
+    r = 1.0 / z
+    r2 = r * r
+    terms = c * np.log(z) - z + 0.5 * math.log(2.0 * math.pi) + r * (
+        1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 / 1260.0))
+    return terms, STIRLING_ULPS * np.finfo(float).eps * (np.abs(terms) + 2.0 * z)
+
+
+def _term_tables() -> tuple[np.ndarray, np.ndarray]:
+    # the terms and bounds of _lgamma_half for every count below _TABLED_COUNTS
+    terms, slack = _stirling(np.arange(LGAMMA_TABLE_SIZE, _TABLED_COUNTS))
+    terms = np.concatenate(([math.lgamma(c + 0.5) for c in range(LGAMMA_TABLE_SIZE)], terms))
+    slack = np.concatenate((np.zeros(LGAMMA_TABLE_SIZE), slack))
+    terms.setflags(write=False)
+    slack.setflags(write=False)
+    return terms, slack
+
+
+_LGAMMA_HALF, _LGAMMA_HALF_SLACK = _term_tables()
 
 
 def _lgamma_half(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``lgamma(c + 1/2)`` of every count, and a bound on its distance from
-    ``math.lgamma(c + 1/2)``: 0 for a tabled count, whose term has the
-    same bits.
-
-    The Stirling series ``c log z - z + log(2 pi) / 2 + 1/(12 z) -
-    1/(360 z^3) + 1/(1260 z^5)``, ``z = c + 1/2``, is truncated below
-    ``1/(1680 z^7)``, under 1e-20 here.  It rounds to a few eps of
-    ``c log z <= |term| + z``, as numpy's float64 ``log`` is held to 1 ulp
-    by its validation set, and ``math.lgamma`` errs by as much.  The bound
-    is 8 times the largest distance measured for counts up to 2e6.
-    """
+    ``math.lgamma(c + 1/2)``: the ``math.lgamma`` bits and 0 below
+    ``LGAMMA_TABLE_SIZE``, :func:`_stirling` at and above it.  Counts
+    below ``_TABLED_COUNTS`` read both from tables built at import."""
     terms = _LGAMMA_HALF.take(counts, mode="clip")
-    slack = np.zeros(counts.size)
-    big = np.flatnonzero(counts >= LGAMMA_TABLE_SIZE)
-    c = counts[big].astype(float)
-    z = c + 0.5
-    r = 1.0 / z
-    r2 = r * r
-    stirling = c * np.log(z) - z + 0.5 * math.log(2.0 * math.pi) + r * (
-        1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 / 1260.0))
-    terms[big] = stirling
-    slack[big] = STIRLING_ULPS * np.finfo(float).eps * (np.abs(stirling) + 2.0 * z)
+    slack = _LGAMMA_HALF_SLACK.take(counts, mode="clip")
+    big = np.flatnonzero(counts >= _TABLED_COUNTS)
+    if big.size:
+        terms[big], slack[big] = _stirling(counts[big])
     return terms, slack
 
 
@@ -549,7 +584,7 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
     bin_count = _size(bin_count, "bin_count", 1, MAX_BIN_COUNT)
     lo, hi = samples.bounds
     edges = np.linspace(lo, hi, bin_count + 1)
-    masses = _bin_masses(samples.values, edges)
+    masses = _bin_masses(samples.values, edges, samples._sorted_values)
     total = masses.sum()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         heights = masses / (total * np.diff(edges))
@@ -566,24 +601,33 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
 HISTOGRAM_BLOCK = 65536
 
 
-def _bin_masses(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def _bin_masses(values: np.ndarray, edges: np.ndarray,
+                sorted_values: np.ndarray | None = None) -> np.ndarray:
     # np.histogram with weights of 1/N each, operation for operation: per
     # block the cumulative masses at the sorted block's edge positions,
-    # summed over blocks and differenced.  Equal masses have the same
-    # cumulative sums in any order, so only the block's values are sorted,
-    # and as cumsum accumulates in order, every block's are the running
-    # sums of 1/N, read from their per-binade progressions.
-    n = values.size
-    segments = _sum_segments(n)
+    # summed over blocks in block order and differenced.  Equal masses
+    # have the same cumulative sums in any order, so only the block's
+    # values are sorted, and as cumsum accumulates in order, every block's
+    # are the running sums of 1/N, read from their per-binade progressions.
+    # Given all the values sorted, the first block is not sorted: its
+    # positions are those of all the values less those of the other blocks,
+    # which are kept until then if they hold at most N positions in all.
+    blocks = [values[i:i + HISTOGRAM_BLOCK] for i in range(0, values.size, HISTOGRAM_BLOCK)]
+    positions = (_block_positions(np.sort(block), edges) for block in blocks)
+    if sorted_values is not None and (len(blocks) - 1) * edges.size <= values.size:
+        later = [_block_positions(np.sort(block), edges) for block in blocks[1:]]
+        positions = [_block_positions(sorted_values, edges) - sum(later), *later]
+    segments = _sum_segments(values.size)
     cumulative = np.zeros(edges.size)
-    for i in range(0, n, HISTOGRAM_BLOCK):
-        block = np.sort(values[i:i + HISTOGRAM_BLOCK])
-        positions = np.concatenate((
-            block.searchsorted(edges[:-1], side="left"),
-            block.searchsorted(edges[-1:], side="right"),
-        ))
-        cumulative += _sums_at(segments, positions)
+    for block_positions in positions:
+        cumulative += _sums_at(segments, block_positions)
     return np.diff(cumulative)
+
+
+def _block_positions(sorted_block: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    # the samples of the block below each left edge, then all of them, as
+    # the last edge is the largest sample and the last bin is closed
+    return np.append(sorted_block.searchsorted(edges[:-1]), sorted_block.size)
 
 
 def _sum_segments(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

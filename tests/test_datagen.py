@@ -89,6 +89,25 @@ class TestSimulateBraking:
         series = simulate(scenario)
         assert len(series) >= 2
 
+    def test_last_braking_sample_is_not_above_the_stopping_distance(self):
+        # series 632 of the default-range corpus of seed 9302: its last
+        # sample before the stop computes 201.1948693177767, an ulp above
+        # the rest samples' 201.19486931777666
+        scenario = Scenario(v0=34.606581759766804, t_react=1.4575493421971235,
+                            decel=3.972083507680601, dt=0.01)
+        _, unclamped = per_series_braking(scenario)
+        assert unclamped[-2] == 201.1948693177767 > unclamped[-1] == 201.19486931777666
+        series = simulate(scenario)
+        assert np.all(np.diff(series.x) >= 0.0)
+        assert series.x[-2] == series.x[-1] == 201.19486931777666
+        assert np.array_equal(series.x[:-2], unclamped[:-2])
+
+    def test_default_range_corpus_of_seed_95(self):
+        # one of the seeds 95, 172 and 224 of 0..299 whose default corpus
+        # held a sample an ulp above its series' rest position
+        corpus = generate_corpus(1000, seed=95)
+        assert all(np.all(np.diff(series.x) >= 0.0) for series in corpus)
+
 
 class TestTimeSeriesValidation:
     def test_rejects_nonzero_start(self):

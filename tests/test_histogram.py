@@ -17,6 +17,7 @@ from histospline import (
     Histogram,
     Samples,
     build_histogram,
+    estimate_pdf,
     flatten_positions,
     generate_corpus,
     knuth_log_posterior,
@@ -402,7 +403,8 @@ def scanned_posteriors(values, search_max):
     """Per B of the package's scan, in order of B: the exact posterior from
     the scan's own bin counts, and the interval the scan scores it in."""
     exact, lower, upper = [], [], []
-    for bs, starts, counts, approx, err in histogram_module._knuth_chunks(values, search_max):
+    for bs, starts, counts, approx, err in histogram_module._knuth_chunks(np.sort(values),
+                                                                          search_max):
         for b, start, a, e in zip(bs.tolist(), starts.tolist(), approx.tolist(), err.tolist()):
             exact.append(knuth_log_posterior(counts[start:start + b], values.size))
             lower.append(a - e)
@@ -499,7 +501,7 @@ class TestBatchedKnuthScan:
             return terms + sign * slack, slack
 
         values = scan_vector("stirling")
-        counts = next(histogram_module._knuth_chunks(values, 200))[2]
+        counts = next(histogram_module._knuth_chunks(np.sort(values), 200))[2]
         assert np.mean(counts >= LGAMMA_TABLE_SIZE) > 0.5
         monkeypatch.setattr(histogram_module, "_lgamma_half", off_by_the_bound)
         exact, lower, upper = scanned_posteriors(values, 200)
@@ -668,6 +670,28 @@ class TestLgammaTerms:
         expected = np.array([math.lgamma(c + 0.5) for c in counts.tolist()])
         assert np.all(slack > 0.0)
         assert np.all(np.abs(terms - expected) <= slack)
+
+    def test_tabled_counts_read_the_terms_of_the_scan_time_series(self):
+        # every tabled count, shuffled and with counts above the table: the
+        # math.lgamma bits below 256, the Stirling series' bits and bounds
+        # from 256 to 4,095, as computed at scan time for larger counts
+        tabled = histogram_module._TABLED_COUNTS
+        assert tabled == 4096
+        counts = np.random.default_rng(29).permutation(np.arange(tabled + 500))
+        terms, slack = histogram_module._lgamma_half(counts)
+        small = counts < LGAMMA_TABLE_SIZE
+        expected = np.array([math.lgamma(c + 0.5) for c in counts[small].tolist()])
+        assert np.array_equal(terms[small].view(np.int64), expected.view(np.int64))
+        assert not slack[small].any()
+        stirling_terms, stirling_slack = histogram_module._stirling(counts[~small])
+        assert np.array_equal(terms[~small].view(np.int64), stirling_terms.view(np.int64))
+        assert np.array_equal(slack[~small], stirling_slack)
+        exact = np.array([math.lgamma(c + 0.5) for c in counts[~small].tolist()])
+        assert np.all(np.abs(terms[~small] - exact) <= slack[~small])
+
+    def test_tables_are_read_only(self):
+        for table in (histogram_module._LGAMMA_HALF, histogram_module._LGAMMA_HALF_SLACK):
+            assert table.size == histogram_module._TABLED_COUNTS and not table.flags.writeable
 
 
 # direct counting oracle: half-open bins, last bin closed
@@ -848,6 +872,98 @@ class TestBuildHistogram:
     def test_malformed_histogram_rejected(self, edges, heights, message):
         with pytest.raises(DataError, match=message):
             Histogram(edges=np.array(edges), heights=np.array(heights))
+
+
+def heights_or_error(samples, bins):
+    # the heights' bits, or the DataError a too narrow bin raises
+    try:
+        return build_histogram(samples, bins).heights.tobytes()
+    except DataError as exc:
+        return str(exc)
+
+
+class TestSortedCopy:
+    """A Knuth scan keeps its sorted copy of the values on the Samples; the
+    histogram takes its first block from it, with every bit unchanged."""
+
+    # sizes below one block, at it, across it and across two and three
+    @pytest.mark.parametrize("size", [2, 1_000, 65_535, 65_536, 65_537, 131_072, 131_073,
+                                      200_000])
+    @pytest.mark.parametrize("kind", ["normal", "integers", "subnormal-steps"])
+    def test_heights_equal_those_of_a_fresh_samples(self, size, kind):
+        rng = np.random.default_rng(size)
+        values, hi = {
+            "normal": (rng.normal(size=size), None),
+            # 0..3000: samples on the edges of B = 1, 200 and 3000
+            "integers": (rng.integers(0, 3001, size=size).astype(float), 3000.0),
+            # the steps of B = 200 and 3000 are subnormal, those of 1 and 7 normal
+            "subnormal-steps": (rng.uniform(0.0, 1e-306, size=size), 1e-306),
+        }[kind]
+        if hi is not None:
+            values[:2] = 0.0, hi
+        scanned = Samples(values)
+        select_bin_count(scanned, BinRule.knuth())
+        assert scanned._sorted_values is not None
+        for bins in (1, 7, 200, 3000):
+            fresh = Samples(values)
+            assert heights_or_error(scanned, bins) == heights_or_error(fresh, bins)
+            assert fresh._sorted_values is None
+
+    @pytest.mark.parametrize("size", [2, 1_000, 65_536, 65_537, 131_073, 200_000])
+    def test_one_sort_per_block_in_a_knuth_estimate(self, size, monkeypatch):
+        # the scan sorts all the values; the histogram sorts every block but
+        # the first
+        values = np.random.default_rng(size).normal(size=size)
+        sorts = []
+        sort = np.sort
+
+        def counting(array, *args, **kwargs):
+            sorts.append(array.size)
+            return sort(array, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting)
+        estimate_pdf(Samples(values), BinRule.knuth(), "natural")
+        assert len(sorts) == math.ceil(size / HISTOGRAM_BLOCK)
+        assert sorts[0] == size
+
+    @pytest.mark.parametrize("bins, block_sorts", [(65_536, 1), (65_537, 2)])
+    def test_the_other_blocks_hold_at_most_n_positions(self, bins, block_sorts, monkeypatch):
+        # two blocks: the second block's B + 1 positions are kept for the
+        # first only while they number at most N
+        values = np.random.default_rng(6).normal(size=HISTOGRAM_BLOCK + 1)
+        scanned = Samples(values)
+        select_bin_count(scanned, BinRule.knuth())
+        expected = heights_or_error(Samples(values), bins)
+        sorts = []
+        sort = np.sort
+        monkeypatch.setattr(np, "sort", lambda array: sorts.append(array.size) or sort(array))
+        assert heights_or_error(scanned, bins) == expected
+        assert len(sorts) == block_sorts
+
+    def test_other_rules_keep_no_sorted_copy(self):
+        s = uniform_samples(np.random.default_rng(4).normal(size=1000))
+        for label in ("sqrt", "sturges", "scott", "fd", "fixed:5"):
+            build_histogram(s, select_bin_count(s, BinRule.parse(label)))
+        assert s._sorted_values is None
+
+    def test_samples_keep_two_n_sized_arrays_after_a_knuth_scan(self):
+        # the read-only values and their sorted copy, 8N bytes each; a second
+        # scan and the histogram reuse the copy
+        values = np.random.default_rng(5).normal(size=10**6)
+        histogram_module._chunk_layout(1, 200)  # built, so only the scan allocates
+        tracemalloc.start()
+        try:
+            s = Samples(values)
+            select_bin_count(s, BinRule.knuth())
+            after_scan = tracemalloc.get_traced_memory()[0]
+            sorted_values = s._sorted_values
+            build_histogram(s, select_bin_count(s, BinRule.knuth()))
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after_scan < 2 * values.nbytes + 1e5 and retained < 2 * values.nbytes + 1e5
+        assert s._sorted_values is sorted_values and not sorted_values.flags.writeable
+        assert np.array_equal(sorted_values, np.sort(values))
 
 
 @pytest.mark.parametrize("value, lo, hi, message", [
