@@ -83,7 +83,7 @@ class RunConfig:
     by one rule whatever their source: flags, a config file or Python."""
 
     command: str
-    out_dir: str = "."
+    out_dir: str = _setting(".", "directory for output artifacts", "generate", "estimate")
     # input source: a CSV column XOR in-process generation
     input: str | None = _setting(None, "input CSV file", "estimate")
     column: str = _setting("x", "numeric column to estimate (default: x)", "estimate")
@@ -175,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
                 positional = key in ("curve_a", "curve_b")
                 sub.add_argument(key if positional else "--" + key.replace("_", "-"), **keywords)
         sub.add_argument("--config", help="JSON config file (flags take precedence)")
-        sub.add_argument("--out-dir", help="directory for output artifacts")
         sub.add_argument("--emit-config", action="store_true",
                          help="print the resolved config as JSON and exit")
     return parser

@@ -137,9 +137,9 @@ def _check_traces(t: np.ndarray, x: np.ndarray, lengths: np.ndarray) -> None:
     starts = np.cumsum(lengths) - lengths
     if np.any(x[starts] != 0.0):
         raise DataError("position trace must start at 0")
-    steps = np.diff(x)
-    steps[starts[1:] - 1] = 0.0  # from one series' last sample to the next one's first
-    if np.any(steps < 0.0):
+    falls = x[1:] < x[:-1]
+    falls[starts[1:] - 1] = False  # from one series' last sample to the next one's first
+    if np.any(falls):
         raise DataError("position trace must be non-decreasing")
 
 

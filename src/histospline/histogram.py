@@ -396,8 +396,9 @@ def _knuth_chunks(sorted_values: np.ndarray, search_max: int):
     ``k`` of an even ``B`` with ``k`` even is edge ``k / 2`` of ``B / 2``,
     bit for bit, and every edge ``k = 0`` is ``lo``; the first chunk
     searches each such edge once and gathers it.  A chunk whose steps
-    reach the subnormal floats computes and searches every edge by
-    np.linspace's per-edge formula.  The latest chunk layout
+    reach the subnormal floats searches the edges of
+    ``np.linspace(lo, hi, B + 1)`` for each of its ``B``, the call
+    :func:`build_histogram` makes.  The latest chunk layout
     is kept, so repeated scans of one chunk (``search_max`` up to 361)
     build it once (see :func:`_chunk_layout`).
     """
@@ -415,15 +416,12 @@ def _knuth_chunks(sorted_values: np.ndarray, search_max: int):
             if layout.canonical is not None:
                 positions = positions.take(layout.canonical)
         else:  # the steps reach the subnormal floats
-            k, b_index = _edge_indices(bs, starts)
-            step = steps.take(b_index)
-            # np.linspace computes k * (delta / B) + lo, or k / B * delta when
-            # the step underflows to 0
-            left_edges = np.where(step == 0.0, k / bs.take(b_index) * delta, k * step) + lo
-            positions = np.searchsorted(sorted_values, left_edges)
+            positions = np.searchsorted(sorted_values, np.concatenate(
+                [np.linspace(lo, hi, b + 1)[:-1] for b in bs.tolist()]))
         # half-open bins, the last one closed at n
         counts = np.diff(positions, append=n)
-        counts[layout.ends] = n - positions[layout.ends]
+        ends = starts + bs - 1
+        counts[ends] = n - positions[ends]
         terms, slack = _lgamma_half(counts)
         head = _knuth_heads(layout, float(n))
         approx = head + np.add.reduceat(terms, starts)
@@ -510,22 +508,14 @@ class _ChunkLayout(NamedTuple):
 
     bs: np.ndarray
     starts: np.ndarray  # where the edges of each B begin
-    ends: np.ndarray  # where they end
     log_b: np.ndarray  # the n-free terms of _knuth_head
     lgamma_half_b: np.ndarray
-    b_lgamma_half: np.ndarray
     k: np.ndarray  # the index of each searched edge within its B
     b_index: np.ndarray  # int32: the position in bs of each searched edge's B
     # int32, in the chunk that starts at B = 1: the searched edge equal to
     # each left edge; the searched edges are then the distinct ones in
     # increasing k / B, and otherwise every edge in order
     canonical: np.ndarray | None
-
-
-def _edge_indices(bs: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (k, position of B in bs) of every left edge of the chunk, in order
-    b_index = np.repeat(np.arange(bs.size, dtype=np.int32), bs)
-    return np.arange(starts[-1] + bs[-1]) - starts[b_index], b_index
 
 
 @functools.lru_cache(maxsize=1)
@@ -535,7 +525,9 @@ def _chunk_layout(first: int, last: int) -> _ChunkLayout:
     bs = np.arange(first, last + 1)
     starts = np.cumsum(bs) - bs
     b_list = bs.tolist()
-    k, b_index = _edge_indices(bs, starts)
+    # k and the position in bs of B, of every left edge of the chunk, in order
+    b_index = np.repeat(np.arange(bs.size, dtype=np.int32), bs)
+    k = np.arange(starts[-1] + bs[-1]) - starts[b_index]
     canonical = None
     if first == 1:
         # divide k and B by the largest power of two dividing both; an edge
@@ -551,10 +543,8 @@ def _chunk_layout(first: int, last: int) -> _ChunkLayout:
     layout = _ChunkLayout(
         bs=bs,
         starts=starts,
-        ends=starts + bs - 1,
         log_b=np.array(list(map(math.log, b_list))),
         lgamma_half_b=np.array([math.lgamma(b / 2.0) for b in b_list]),
-        b_lgamma_half=bs * math.lgamma(0.5),
         k=k.astype(float),
         b_index=b_index,
         canonical=canonical,
@@ -567,7 +557,7 @@ def _chunk_layout(first: int, last: int) -> _ChunkLayout:
 
 def _knuth_heads(layout: _ChunkLayout, n: float) -> np.ndarray:
     # _knuth_head(B, n) of every B in the layout, by its operations in its order
-    return ((n * layout.log_b + layout.lgamma_half_b) - layout.b_lgamma_half) - np.array(
+    return ((n * layout.log_b + layout.lgamma_half_b) - layout.bs * math.lgamma(0.5)) - np.array(
         list(map(math.lgamma, (n + layout.bs / 2.0).tolist())))
 
 

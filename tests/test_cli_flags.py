@@ -28,7 +28,6 @@ FLAGS = [
     ("compare", ["a.csv", "b.csv"], "curve_a", "a.csv"),
     ("compare", ["a.csv", "b.csv"], "curve_b", "b.csv"),
     ("compare", ["a.csv", "b.csv", "--grid", "11"], "grid", 11),
-    ("compare", ["a.csv", "b.csv", "--out-dir", "d"], "out_dir", "d"),
 ]
 
 
@@ -45,3 +44,18 @@ def test_each_flag_reaches_run_config_with_its_type(command, argv, key, value):
 
 def test_every_setting_has_a_flag_case():
     assert {key for _, _, key, _ in FLAGS} == set(cli.RunConfig.__dataclass_fields__) - {"command"}
+
+
+def test_compare_takes_no_out_dir_flag(tmp_path, capsys):
+    # compare writes nothing, so it has no --out-dir; a config file's
+    # out_dir is a valid key for it, as every key is
+    never = tmp_path / "never"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["compare", "a.csv", "b.csv", "--out-dir", str(never)])
+    assert exit_.value.code == 1
+    assert "unrecognized arguments: --out-dir" in capsys.readouterr().err
+    assert not never.exists()
+    config = tmp_path / "config.json"
+    config.write_text('{"out_dir": "d"}')
+    args = cli.build_parser().parse_args(["compare", "a.csv", "b.csv", "--config", str(config)])
+    assert cli.resolve_config(args).out_dir == "d"

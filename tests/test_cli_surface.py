@@ -24,13 +24,14 @@ options:
   -h, --help            show this help message and exit
 """,
     ("generate",): """\
-usage: histospline generate [-h] [--count COUNT] [--seed SEED]
-                            [--v0-range LO HI] [--t-react-range LO HI]
-                            [--decel-range LO HI] [--dt DT] [--config CONFIG]
-                            [--out-dir OUT_DIR] [--emit-config]
+usage: histospline generate [-h] [--out-dir OUT_DIR] [--count COUNT]
+                            [--seed SEED] [--v0-range LO HI]
+                            [--t-react-range LO HI] [--decel-range LO HI]
+                            [--dt DT] [--config CONFIG] [--emit-config]
 
 options:
   -h, --help            show this help message and exit
+  --out-dir OUT_DIR     directory for output artifacts
   --count COUNT         number of series to simulate
   --seed SEED           corpus RNG seed
   --v0-range LO HI      initial speed range, m/s
@@ -39,20 +40,21 @@ options:
   --decel-range LO HI   deceleration range, m/s^2
   --dt DT               sample interval, s
   --config CONFIG       JSON config file (flags take precedence)
-  --out-dir OUT_DIR     directory for output artifacts
   --emit-config         print the resolved config as JSON and exit
 """,
     ("estimate",): """\
-usage: histospline estimate [-h] [--input INPUT] [--column COLUMN]
-                            [--simulate] [--count COUNT] [--seed SEED]
-                            [--v0-range LO HI] [--t-react-range LO HI]
-                            [--decel-range LO HI] [--dt DT] [--rule RULE]
+usage: histospline estimate [-h] [--out-dir OUT_DIR] [--input INPUT]
+                            [--column COLUMN] [--simulate] [--count COUNT]
+                            [--seed SEED] [--v0-range LO HI]
+                            [--t-react-range LO HI] [--decel-range LO HI]
+                            [--dt DT] [--rule RULE]
                             [--bc {clamped,natural,not-a-knot}] [--grid GRID]
                             [--knuth-max KNUTH_MAX] [--config CONFIG]
-                            [--out-dir OUT_DIR] [--emit-config]
+                            [--emit-config]
 
 options:
   -h, --help            show this help message and exit
+  --out-dir OUT_DIR     directory for output artifacts
   --input INPUT         input CSV file
   --column COLUMN       numeric column to estimate (default: x)
   --simulate            estimate from a freshly simulated corpus instead of a
@@ -71,24 +73,22 @@ options:
   --knuth-max KNUTH_MAX
                         upper bound of the Knuth bin scan
   --config CONFIG       JSON config file (flags take precedence)
-  --out-dir OUT_DIR     directory for output artifacts
   --emit-config         print the resolved config as JSON and exit
 """,
     ("compare",): """\
 usage: histospline compare [-h] [--grid GRID] [--config CONFIG]
-                           [--out-dir OUT_DIR] [--emit-config]
+                           [--emit-config]
                            curve_a curve_b
 
 positional arguments:
-  curve_a            first density curve CSV
-  curve_b            second density curve CSV
+  curve_a          first density curve CSV
+  curve_b          second density curve CSV
 
 options:
-  -h, --help         show this help message and exit
-  --grid GRID        common re-interpolation grid size
-  --config CONFIG    JSON config file (flags take precedence)
-  --out-dir OUT_DIR  directory for output artifacts
-  --emit-config      print the resolved config as JSON and exit
+  -h, --help       show this help message and exit
+  --grid GRID      common re-interpolation grid size
+  --config CONFIG  JSON config file (flags take precedence)
+  --emit-config    print the resolved config as JSON and exit
 """,
 }
 

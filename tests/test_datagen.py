@@ -1,6 +1,7 @@
 """Tests for the emergency-braking time-series generator."""
 
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -164,6 +165,22 @@ class TestGenerateCorpus:
         a = generate_corpus(5, seed=1)
         b = generate_corpus(5, seed=2)
         assert any(not np.array_equal(x.x, y.x) for x, y in zip(a, b))
+
+    def test_peak_grows_by_about_the_positions_per_sample(self):
+        # the positions take 8 bytes per sample; the checks of the corpus add
+        # boolean masks, not a float array of its steps
+        generate_corpus(5, seed=1)  # first-use allocations are not counted below
+        sizes, peaks = [], []
+        for count in (200, 1000):
+            tracemalloc.start()
+            try:
+                corpus = generate_corpus(count, seed=42)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append(sum(map(len, corpus)))
+            del corpus
+        assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) < 1.3 * 8
 
     def test_prefix_stability(self):
         # per-index seeding: a longer corpus extends a shorter one

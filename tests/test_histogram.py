@@ -574,6 +574,8 @@ class TestBatchedKnuthScan:
         assert np.array_equal(np.unique(layout.canonical), np.arange(14_951))
         assert layout.canonical.dtype == layout.b_index.dtype == np.int32
         assert np.all(np.diff(layout.k / layout.bs[layout.b_index]) >= 0.0)
+        # the scan computes where each B's edges end, and B lgamma(1/2)
+        assert not {"ends", "b_lgamma_half"} & set(layout._fields)
 
     @pytest.mark.parametrize("delta, step", [
         (4.450147717014404e-306, np.nextafter(np.finfo(float).tiny, np.inf)),
@@ -582,23 +584,28 @@ class TestBatchedKnuthScan:
     def test_steps_either_side_of_the_smallest_normal_float(self, delta, step, monkeypatch):
         # delta / 200 one ulp either side of the smallest normal float: above
         # it the distinct edges are searched and gathered, below it halving B
-        # no longer halves the step exactly, and every edge is searched by
-        # the per-edge formula.  Each edge of every B is also a sample, so an
-        # edge one ulp off changes a count.
+        # no longer halves the step exactly, and the scan searches the edges
+        # of np.linspace itself, one call per B.  Each edge of every B is
+        # also a sample, so an edge one ulp off changes a count.
         assert delta / 200 == step
         values = np.unique(np.concatenate([np.linspace(0.0, delta, b + 1) for b in range(1, 201)]))
-        histogram_module._chunk_layout(1, 200)  # built, so only the scan lists edges below
-        per_edge = []
-        edge_indices = histogram_module._edge_indices
+        expected_b, expected = per_step_knuth_scan(values, 200)
+        histogram_module._chunk_layout(1, 200)  # built, so only the scan runs below
+        points = []  # the point count of each np.linspace call
+        linspace = np.linspace
 
-        def recording(bs, starts):
-            per_edge.append(bs.size)
-            return edge_indices(bs, starts)
+        def recording(start, stop, num, **kwargs):
+            points.append(num)
+            return linspace(start, stop, num, **kwargs)
 
-        monkeypatch.setattr(histogram_module, "_edge_indices", recording)
-        assert_scan_matches_per_step_scan(values, 200)
+        monkeypatch.setattr(np, "linspace", recording)
+        exact, lower, upper = scanned_posteriors(values, 200)
+        assert select_bin_count(uniform_samples(values), BinRule.knuth(200)) == expected_b
+        monkeypatch.undo()
+        assert exact == expected
+        assert all(lo <= lp <= hi for lo, lp, hi in zip(lower, exact, upper))
         # the scan runs twice: for its posteriors and for its argmax
-        assert per_edge == ([] if step > np.finfo(float).tiny else [200, 200])
+        assert points == ([] if step > np.finfo(float).tiny else [*range(2, 202)] * 2)
 
     def test_first_chunk_edges_equal_their_distinct_edges(self):
         # every left edge gathered from the searched edges is that of

@@ -64,4 +64,4 @@ def test_settings_table_matches_run_config(capsys):
                     for key in keys]
     for key in keys:  # the commands are those the field's metadata names
         metadata = RunConfig.__dataclass_fields__[key].metadata
-        assert listed[key] == [*metadata] or key == "out_dir" and not metadata
+        assert listed[key] == [*metadata]
