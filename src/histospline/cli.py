@@ -158,6 +158,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    # each parser rejects the arguments it cannot read, so an unknown flag
+    # of a subcommand prints that subcommand's usage, not the top-level one
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="histospline",

@@ -4,7 +4,7 @@ Bin counts can be chosen by the classic rules (square root, Sturges,
 Scott, Freedman-Diaconis), by a fixed user count, or by Knuth's Bayesian
 rule, which maximizes a marginal log-posterior over equal-width bin
 counts.  Each sample counts once: every rule reads the sample values,
-and each sample carries mass ``1/N`` into the histogram.
+and the histogram's mass of a bin is its integer count over ``N``.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ class Samples:
     from.  The ``(min, max)`` found by that check is kept as ``bounds``, a
     pair of floats derived from the values, not a field.  The first Knuth
     scan sorts the values once and keeps that read-only copy, another 8N
-    bytes, for later scans and :func:`build_histogram` to read.
+    bytes, for later scans to read and for :func:`build_histogram` to
+    count its bins in, with no sort of its own.
     """
 
     values: np.ndarray
@@ -565,19 +566,28 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
     """Build the equal-width density histogram of ``samples``.
 
     Edges span ``[min(values), max(values)]`` exactly with ``bin_count``
-    uniform bins.  Each sample contributes mass ``1/N`` to exactly one bin
-    (half-open bins, last bin closed so the maximum is counted); heights
-    are the bin masses divided by total mass and bin width.  Raises
-    :class:`DataError` when a height is not finite: its bin is too narrow,
-    or of zero width, as on a range a few ulps wide.
+    uniform bins.  Each sample is counted in exactly one bin (half-open
+    bins, last bin closed so the maximum is counted); heights are the
+    integer counts over ``N`` and over the bin widths, ``count / N``
+    rounded once.  The counts are read from a Knuth scan's sorted copy
+    when one is kept, and otherwise from each ``HISTOGRAM_BLOCK``-sample
+    block sorted in turn.  Raises :class:`DataError` when a height is not
+    finite: its bin is too narrow, or of zero width, as on a range a few
+    ulps wide.
     """
     bin_count = _size(bin_count, "bin_count", 1, MAX_BIN_COUNT)
     lo, hi = samples.bounds
     edges = np.linspace(lo, hi, bin_count + 1)
-    masses = _bin_masses(samples.values, edges, samples._sorted_values)
-    total = masses.sum()
+    n = len(samples)
+    # the samples below each left edge; the last edge is the largest sample
+    if samples._sorted_values is not None:
+        below = samples._sorted_values.searchsorted(edges[:-1])
+    else:
+        below = np.zeros(bin_count, dtype=np.intp)
+        for i in range(0, n, HISTOGRAM_BLOCK):
+            below += np.sort(samples.values[i:i + HISTOGRAM_BLOCK]).searchsorted(edges[:-1])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        heights = masses / (total * np.diff(edges))
+        heights = np.diff(below, append=n) / n / np.diff(edges)
     if not np.isfinite(heights).all():
         raise DataError(
             f"bin density overflows: {bin_count} bins over a range of {hi - lo!r} "
@@ -587,84 +597,6 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
     return Histogram(edges=edges, heights=heights)
 
 
-# Samples per block of the mass accumulation, as in np.histogram.
+# Samples sorted at a time when no sorted copy is kept, which bounds the
+# histogram's temporaries.
 HISTOGRAM_BLOCK = 65536
-
-
-def _bin_masses(values: np.ndarray, edges: np.ndarray,
-                sorted_values: np.ndarray | None = None) -> np.ndarray:
-    # np.histogram with weights of 1/N each, operation for operation: per
-    # block the cumulative masses at the sorted block's edge positions,
-    # summed over blocks in block order and differenced.  Equal masses
-    # have the same cumulative sums in any order, so only the block's
-    # values are sorted, and as cumsum accumulates in order, every block's
-    # are the running sums of 1/N, read from their per-binade progressions.
-    # Given all the values sorted, the first block is not sorted: its
-    # positions are those of all the values less those of the other blocks,
-    # which are kept until then if they hold at most N positions in all.
-    blocks = [values[i:i + HISTOGRAM_BLOCK] for i in range(0, values.size, HISTOGRAM_BLOCK)]
-    positions = (_block_positions(np.sort(block), edges) for block in blocks)
-    if sorted_values is not None and (len(blocks) - 1) * edges.size <= values.size:
-        later = [_block_positions(np.sort(block), edges) for block in blocks[1:]]
-        positions = [_block_positions(sorted_values, edges) - sum(later), *later]
-    segments = _sum_segments(values.size)
-    cumulative = np.zeros(edges.size)
-    for block_positions in positions:
-        cumulative += _sums_at(segments, block_positions)
-    return np.diff(cumulative)
-
-
-def _block_positions(sorted_block: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    # the samples of the block below each left edge, then all of them, as
-    # the last edge is the largest sample and the last bin is closed
-    return np.append(sorted_block.searchsorted(edges[:-1]), sorted_block.size)
-
-
-def _sum_segments(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The running sums ``s_k`` of ``k`` masses ``w = 1/n``, as np.cumsum
-    adds them (``s_0 = 0``, ``s_k = s_{k-1} + w`` rounded), for
-    ``k = 0..min(n, HISTOGRAM_BLOCK)``, as segments ``(starts, bases,
-    steps)``: ``s_k = bases[i] + (k - starts[i]) * steps[i]`` from
-    ``starts[i]`` up to the next start, bit for bit.
-
-    Within a binade ``[2^e, 2^(e+1))`` every sum is a multiple of its ulp,
-    and a step adds ``w`` rounded to such a multiple.  Only a tie depends
-    on the sum, and goes to the even multiple; a sum reached by a step
-    within the binade already is one.  So after one such step every step
-    adds the same ``d``, and the sums are ``s + j*d``, exactly, until one
-    reaches ``2^(e+1)``: at most two segments per binade, the sum that
-    enters it (which may be odd) and the progression after it.  The step
-    that leaves a binade is taken in floats.
-    """
-    w, count = 1.0 / n, min(n, HISTOGRAM_BLOCK)
-    starts, bases, steps = [0], [0.0], [0.0]
-    k, s = 1, w
-    while k <= count:
-        # s = s_k enters its binade, below top
-        starts.append(k)
-        bases.append(s)
-        steps.append(0.0)
-        top = math.ldexp(1.0, math.frexp(s)[1])
-        following = s + w
-        k += 1
-        if following < top and k <= count:
-            # w <= following < top <= 2 * following, so both differences
-            # are exact; d is about w, as a block's sums stay below 2^17 w.
-            # Both are multiples of the ulp, fewer than 2^53 of them, so
-            # their quotient rounds to an integer only if it is one.
-            d = (following + w) - following
-            terms = math.ceil((top - following) / d)
-            starts.append(k)
-            bases.append(following)
-            steps.append(d)
-            k += terms
-            following = following + (terms - 1) * d + w
-        s = following
-    return np.array(starts), np.array(bases), np.array(steps)
-
-
-def _sums_at(segments, positions: np.ndarray) -> np.ndarray:
-    # the running sums at the given positions, from _sum_segments
-    starts, bases, steps = segments
-    i = starts.searchsorted(positions, side="right") - 1
-    return bases.take(i) + (positions - starts.take(i)) * steps.take(i)

@@ -110,25 +110,25 @@ class TestGenerate:
 PINNED_SHA256 = {
     "gen/corpus.csv": "177c51714a45e7978533e70e72a9a021bc45472013acf0f91a6c175df37fbe34",
     "knuth-clamped/histogram.csv":
-        "ece184acd3a802d15dabfc46e248708869961a8cbc604bd8ca8159a0d6d3210c",
-    "knuth-clamped/curve.csv": "86de015aca0a88c01a96f442fd9b25d690104d3984aa000c7dc91f04c4deee41",
+        "964db0c0d31198dc02012818f94f4e715f1a9e308c1b0c078c088e828791aabf",
+    "knuth-clamped/curve.csv": "baf50e1c574e4506c419fe1b259becf306f9b8f2e401b24574a5df32379bb653",
     "knuth-clamped/summary.jsonl":
-        "b1657d856d69d558922bbf2f081312af13efc87c22aed067617748bd93e8f2ee",
+        "fac3c598676fc9d1f1f87cac8f9237c4d873ae1e45a70f29221d072dccd30b35",
     "knuth-natural/histogram.csv":
-        "ece184acd3a802d15dabfc46e248708869961a8cbc604bd8ca8159a0d6d3210c",
-    "knuth-natural/curve.csv": "1f44b9302e7a3dd46ae1de1b1b2625ac067c9a6901015ebd26eb83854b4d8ce5",
+        "964db0c0d31198dc02012818f94f4e715f1a9e308c1b0c078c088e828791aabf",
+    "knuth-natural/curve.csv": "77c32fd2f704bfcdbe5e50caad3a2a4c10ca6e87a387f37a8d0f7bb53ad63bcd",
     "knuth-natural/summary.jsonl":
-        "f1eb66e40dd190ae5af5fbc386cda4bee06442d343278d4ddd90a9fe84b61bd0",
+        "7d9332f5fe851d5c217e8e9bcb14948c226ddfe78d890db378683c231c22153f",
     "knuth-not-a-knot/histogram.csv":
-        "ece184acd3a802d15dabfc46e248708869961a8cbc604bd8ca8159a0d6d3210c",
+        "964db0c0d31198dc02012818f94f4e715f1a9e308c1b0c078c088e828791aabf",
     "knuth-not-a-knot/curve.csv":
-        "bc99fe3ee741ec6faccf09084464293205536aa456d6a528d356a3edfc913762",
+        "9707591730e96b9cb72db153e8c309ef94b8614e93cf6f9046634f1a451012cc",
     "knuth-not-a-knot/summary.jsonl":
-        "4e263ae80c680e1ada328d9beb568fefd00ba10f32b05f6d7383745a2081cdb6",
-    "sim/histogram.csv": "06535e8830c2cb1b6e905f2ed406503737c5a5b6bee1b7fb24c4ea1676d3359c",
-    "sim/curve.csv": "f19a577c42a4111a8b7f8dc174b75d34b43bab99a45a94102a23a60ca02b4905",
-    "sim/summary.jsonl": "715132dad5a9b9522be8ca51ebff67b9047658903cd3fb7b554971ba97cb890b",
-    "compare stdout": "beb3cf69b3aaa24476fb70bf9ba72cb5883c2e1820e84bc866f0489be97ccf89",
+        "4255d1444b653591db23d2e00cb990f58d11cd35cc7b1d88e5f9e5f12173636f",
+    "sim/histogram.csv": "7074b25735d3bb091ebdb6692e869d9a2ef13c36f79a1bbbbbf0eadd22da4ba1",
+    "sim/curve.csv": "2dad8640aacb855a76edf69190a195f12de167cd0574a62b4ce207ca208ee512",
+    "sim/summary.jsonl": "a31ba1374d5a554efdcb320e1e00db6b5f129ae083039126d2d60618973de770",
+    "compare stdout": "a36b4a1e0f66b1d12e64b0207f3a08af7bf814f333ff92dd5d1802a0eeb8af68",
 }
 
 

@@ -59,3 +59,19 @@ def test_compare_takes_no_out_dir_flag(tmp_path, capsys):
     config.write_text('{"out_dir": "d"}')
     args = cli.build_parser().parse_args(["compare", "a.csv", "b.csv", "--config", str(config)])
     assert cli.resolve_config(args).out_dir == "d"
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["compare", "a.csv", "b.csv", "--out-dir", "d"], "histospline compare"),
+    (["estimate", "--simulate", "--bogus", "1"], "histospline estimate"),
+    (["generate", "extra"], "histospline generate"),
+    # an unknown flag before the command is the top-level parser's
+    (["--bogus", "generate"], "histospline"),
+])
+def test_usage_errors_name_the_parser_that_cannot_read_them(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: {usage} [-h]")
+    assert f"\n{usage}: error: unrecognized arguments: " in err

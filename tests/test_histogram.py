@@ -4,6 +4,7 @@ import bisect
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -715,45 +716,20 @@ def oracle_masses(values, weights, edges):
     return np.asarray(masses)
 
 
-# Sample counts whose running sums of 1/N cross a binade where 1/N is a tie
-# between two multiples of the binade's ulp: progressions whose step is
-# taken from the sum that enters each binade go wrong from position 8 or 16
-TIE_BINADE_SIZES = [339_206, 1_717_216, 46_127_488, 57_181_063, 85_749_772, 99_721_176]
-
-
-def cumsum_table(n):
-    # the cumulative masses np.histogram reads for a block of weights 1/n
-    return np.concatenate(([0.0], np.full(min(n, HISTOGRAM_BLOCK), 1.0 / n).cumsum()))
-
-
-class TestRunningSums:
-    def test_segments_equal_the_cumsum_table_at_every_position(self):
-        rng = np.random.default_rng(27)
-        sizes = [*range(2, 4_001), *range(HISTOGRAM_BLOCK, HISTOGRAM_BLOCK + 3_001),
-                 *rng.integers(2, MAX_CORPUS_SAMPLES, 200, endpoint=True).tolist(),
-                 *TIE_BINADE_SIZES]
-        j = np.arange(HISTOGRAM_BLOCK + 1.0)
-        sums = np.empty(HISTOGRAM_BLOCK + 1)
-        for n in sizes:
-            table = cumsum_table(n)
-            starts, bases, steps = histogram_module._sum_segments(n)
-            ends = [*starts[1:].tolist(), table.size]
-            # s_k = bases[i] + (k - starts[i]) * steps[i] from starts[i] on
-            for start, end, base, step in zip(starts.tolist(), ends, bases.tolist(), steps.tolist()):
-                np.add(base, j[:end - start] * step, out=sums[start:end])
-            # the segments cover every position once, in order
-            assert starts[0] == 0 and np.all(np.diff(starts) > 0) and starts[-1] < table.size
-            assert np.array_equal(sums[:table.size], table), n
-            # the zero sum, and two segments per binade: the sums of a full
-            # block, w to 65,536 w, span 17 binades
-            assert starts.size <= 35
-
-    @pytest.mark.parametrize("n", [2, 1_000, HISTOGRAM_BLOCK, *TIE_BINADE_SIZES])
-    def test_sums_at_positions_read_the_table(self, n):
-        table = cumsum_table(n)
-        positions = np.arange(table.size)
-        sums = histogram_module._sums_at(histogram_module._sum_segments(n), positions)
-        assert np.array_equal(sums, table)
+def assert_heights_are_exact_counts(values):
+    # every height within 2 ulps of the exact count / N / width, with the
+    # integer counts of np.histogram over the same edges, both with and
+    # without a Knuth scan's sorted copy
+    scanned = Samples(values)
+    select_bin_count(scanned, BinRule.knuth())
+    for s in (Samples(values), scanned):
+        for bins in (7, 60, 1000):
+            hist = build_histogram(s, bins)
+            counts, _ = np.histogram(values, bins=hist.edges)
+            for height, count, width in zip(hist.heights.tolist(), counts.tolist(),
+                                            hist.widths.tolist()):
+                exact = Fraction(count, values.size) / Fraction(width)
+                assert abs(Fraction(height) - exact) <= 2 * Fraction(math.ulp(float(exact)))
 
 
 class TestBuildHistogram:
@@ -812,25 +788,14 @@ class TestBuildHistogram:
         # two decimals: many ties, and samples on the edges of B = 60
         values = np.round(rng.normal(size=size), 2)
         values[:2] = -3.0, 3.0
-        s = Samples(values)
-        for bins in (7, 60, 1000):
-            hist = build_histogram(s, bins)
-            masses, _ = np.histogram(values, bins=hist.edges, weights=np.full(size, 1.0 / size))
-            expected = masses / (masses.sum() * np.diff(hist.edges))
-            assert np.array_equal(hist.heights, expected)
+        assert_heights_are_exact_counts(values)
 
-    # many blocks, whose running sums of 1/N cross a binade where 1/N is a
-    # tie between two multiples of its ulp
-    @pytest.mark.parametrize("size", TIE_BINADE_SIZES[:2])
+    # many blocks; the sizes once put np.histogram's running sums of 1/N
+    # across a binade where 1/N is a tie between two multiples of its ulp
+    @pytest.mark.parametrize("size", [339_206, 1_717_216])
     def test_masses_equal_numpy_histogram_bits_across_tie_binades(self, size):
         rng = np.random.default_rng(size)
-        values = np.round(rng.normal(size=size), 2)
-        s = Samples(values)
-        for bins in (7, 60, 1000):
-            hist = build_histogram(s, bins)
-            masses, _ = np.histogram(values, bins=hist.edges, weights=np.full(size, 1.0 / size))
-            expected = masses / (masses.sum() * np.diff(hist.edges))
-            assert np.array_equal(hist.heights, expected)
+        assert_heights_are_exact_counts(np.round(rng.normal(size=size), 2))
 
     def test_zero_range(self):
         with pytest.raises(DataError, match="range"):
@@ -891,7 +856,8 @@ def heights_or_error(samples, bins):
 
 class TestSortedCopy:
     """A Knuth scan keeps its sorted copy of the values on the Samples; the
-    histogram takes its first block from it, with every bit unchanged."""
+    histogram counts its bins in it, with the bits of the block-by-block
+    counts of a Samples that keeps no copy."""
 
     # sizes below one block, at it, across it and across two and three
     @pytest.mark.parametrize("size", [2, 1_000, 65_535, 65_536, 65_537, 131_072, 131_073,
@@ -918,8 +884,7 @@ class TestSortedCopy:
 
     @pytest.mark.parametrize("size", [2, 1_000, 65_536, 65_537, 131_073, 200_000])
     def test_one_sort_per_block_in_a_knuth_estimate(self, size, monkeypatch):
-        # the scan sorts all the values; the histogram sorts every block but
-        # the first
+        # the scan sorts all the values; the histogram counts in its copy
         values = np.random.default_rng(size).normal(size=size)
         sorts = []
         sort = np.sort
@@ -930,28 +895,30 @@ class TestSortedCopy:
 
         monkeypatch.setattr(np, "sort", counting)
         estimate_pdf(Samples(values), BinRule.knuth(), "natural")
-        assert len(sorts) == math.ceil(size / HISTOGRAM_BLOCK)
-        assert sorts[0] == size
-
-    @pytest.mark.parametrize("bins, block_sorts", [(65_536, 1), (65_537, 2)])
-    def test_the_other_blocks_hold_at_most_n_positions(self, bins, block_sorts, monkeypatch):
-        # two blocks: the second block's B + 1 positions are kept for the
-        # first only while they number at most N
-        values = np.random.default_rng(6).normal(size=HISTOGRAM_BLOCK + 1)
-        scanned = Samples(values)
-        select_bin_count(scanned, BinRule.knuth())
-        expected = heights_or_error(Samples(values), bins)
-        sorts = []
-        sort = np.sort
-        monkeypatch.setattr(np, "sort", lambda array: sorts.append(array.size) or sort(array))
-        assert heights_or_error(scanned, bins) == expected
-        assert len(sorts) == block_sorts
+        assert sorts == [size]
 
     def test_other_rules_keep_no_sorted_copy(self):
         s = uniform_samples(np.random.default_rng(4).normal(size=1000))
         for label in ("sqrt", "sturges", "scott", "fd", "fixed:5"):
             build_histogram(s, select_bin_count(s, BinRule.parse(label)))
         assert s._sorted_values is None
+
+    @pytest.mark.parametrize("label", ["sqrt", "sturges", "fixed:3"])
+    def test_block_counts_hold_one_sorted_block(self, label):
+        # with no sorted copy the peak is one sorted block, at any N: a
+        # sort of the whole vector would add 8N bytes between these sizes
+        peaks = []
+        for size in (300_000, 1_200_000):
+            s = Samples(np.random.default_rng(size).normal(size=size))
+            bins = select_bin_count(s, BinRule.parse(label))
+            tracemalloc.start()
+            try:
+                build_histogram(s, bins)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.25e6
+        assert max(peaks) < 1.5 * 8 * HISTOGRAM_BLOCK
 
     def test_samples_keep_two_n_sized_arrays_after_a_knuth_scan(self):
         # the read-only values and their sorted copy, 8N bytes each; a second
