@@ -8,8 +8,10 @@ import json
 import os
 import re
 import resource
+import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -150,6 +152,127 @@ def test_seed42_pipeline_artifact_bytes_are_pinned(seed42_corpus, monkeypatch):
     turning_points = [read_summary(f"knuth-{bc}/summary.jsonl")["turning_points"]
                       for bc in ("natural", "not-a-knot")]
     assert turning_points == [57, 55]
+
+
+class TestGenerateHelper:
+    """generate's helper process formats the later series' rows of a large
+    corpus; its bytes are those of the in-process path, and it is optional."""
+
+    @pytest.fixture
+    def helpers(self, monkeypatch):
+        """Each helper process that generate starts."""
+        self.started = []
+        popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            self.started.append(popen(*args, **kwargs))
+            return self.started[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+        return self.started
+
+    def generate(self, out, *argv):
+        """main's exit code and stderr; every helper is reaped when it returns or raises."""
+        stdout, stderr = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["generate", *argv, "--out-dir", str(out)])
+        finally:
+            assert all(helper.returncode is not None for helper in self.started)
+        return code, stderr.getvalue()
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7])
+    def test_helper_bytes_equal_the_in_process_bytes(self, tmp_path, monkeypatch, helpers,
+                                                     count):
+        monkeypatch.setattr(cli, "HELPER_MIN_SAMPLES", 10**9)
+        assert self.generate(tmp_path / "in", "--count", str(count), "--seed", "42") == (0, "")
+        assert not helpers
+        monkeypatch.setattr(cli, "HELPER_MIN_SAMPLES", 0)
+        assert self.generate(tmp_path / "two", "--count", str(count), "--seed", "42") == (0, "")
+        assert len(helpers) == (count > 1)  # a one-series corpus stays in-process
+        assert helpers == [] or helpers[0].returncode == 0
+        for name in ("in", "two"):
+            assert os.listdir(tmp_path / name) == ["corpus.csv"]
+        assert (tmp_path / "in" / "corpus.csv").read_bytes() == \
+            (tmp_path / "two" / "corpus.csv").read_bytes()
+
+    @pytest.mark.parametrize("executable", ["missing", "false"])
+    def test_a_helper_that_fails_leaves_the_pinned_bytes(self, tmp_path, monkeypatch, helpers,
+                                                         executable):
+        # a helper that cannot start, or one that starts and exits 1
+        path = str(tmp_path / "no-python") if executable == "missing" else shutil.which("false")
+        monkeypatch.setattr(sys, "executable", path)
+        assert self.generate(tmp_path / "gen", "--count", "1000", "--seed", "42") == (0, "")
+        assert [helper.returncode for helper in helpers] == ([] if executable == "missing" else [1])
+        assert os.listdir(tmp_path / "gen") == ["corpus.csv"]
+        digest = hashlib.sha256((tmp_path / "gen" / "corpus.csv").read_bytes()).hexdigest()
+        assert digest == PINNED_SHA256["gen/corpus.csv"]
+
+    def test_a_failed_helper_gives_back_its_files_before_the_fallback(self, tmp_path,
+                                                                      monkeypatch, helpers):
+        # a helper that writes rows and then exits 1: the parent formats the
+        # later series only after closing, so unlinking, its job and rows
+        script = tmp_path / "fails-after-writing"
+        script.write_text("#!/bin/sh\nhead -c 100000 /dev/zero\nexit 1\n")
+        script.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(script))
+        files, open_when_formatted = [], []
+        temporary_file, rows = tempfile.TemporaryFile, cli._corpus_rows.rows
+
+        def recording_temporary_file(*args, **kwargs):
+            files.append(temporary_file(*args, **kwargs))
+            return files[-1]
+
+        def recording_rows(*args):
+            open_when_formatted.append(not all(fh.closed for fh in files))
+            return rows(*args)
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", recording_temporary_file)
+        monkeypatch.setattr(cli._corpus_rows, "rows", recording_rows)
+        assert self.generate(tmp_path / "gen", "--count", "1000", "--seed", "42") == (0, "")
+        assert [helper.returncode for helper in helpers] == [1] and len(files) == 2
+        split = open_when_formatted.index(False)
+        assert 0 < split < 1000 and not any(open_when_formatted[split:])
+        assert os.listdir(tmp_path / "gen") == ["corpus.csv"]
+        digest = hashlib.sha256((tmp_path / "gen" / "corpus.csv").read_bytes()).hexdigest()
+        assert digest == PINNED_SHA256["gen/corpus.csv"]
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, OSError])
+    def test_the_helper_is_reaped_when_the_parent_fails(self, tmp_path, monkeypatch, helpers,
+                                                        error):
+        monkeypatch.setattr(cli, "HELPER_MIN_SAMPLES", 0)
+
+        def failing_rows(*args):
+            raise error("interrupted")
+
+        monkeypatch.setattr(cli._corpus_rows, "rows", failing_rows)
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                self.generate(tmp_path / "gen", "--count", "7")
+        else:
+            assert self.generate(tmp_path / "gen", "--count", "7") == (2, "error: interrupted\n")
+        assert len(helpers) == 1
+        assert os.listdir(tmp_path / "gen") == ["corpus.csv"]
+
+    @pytest.mark.parametrize("threshold", [1 << 17, 10**9], ids=["helper", "in-process"])
+    def test_writer_peak_does_not_grow_with_the_corpus(self, tmp_path, monkeypatch, threshold):
+        # 200 and 1,000 series hold 1.4 and 6.9 MB of positions; the writer
+        # holds the rows of one series at a time, and the helper's job and
+        # rows are files
+        monkeypatch.setattr(cli, "HELPER_MIN_SAMPLES", threshold)
+        # first-use allocations, such as importing subprocess, are not counted below
+        cli._write_corpus(tmp_path / "warm.csv", generate_corpus(200, seed=1))
+        peaks = []
+        for count in (200, 1000):
+            corpus = generate_corpus(count, seed=42)
+            assert sum(map(len, corpus)) >= 1 << 17
+            tracemalloc.start()
+            try:
+                cli._write_corpus(tmp_path / f"{count}.csv", corpus)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.25e6
 
 
 def row_by_row(path, columns):
@@ -981,6 +1104,17 @@ def test_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
                             capture_output=True, text=True, check=True, timeout=60)
     assert result.stdout.strip() == "[]"
+
+
+def test_import_loads_no_subprocess():
+    # only generate starts a process, so estimate and compare do not pay
+    # for importing subprocess
+    src = str(Path(histospline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, histospline.cli; print('subprocess' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "False"
 
 
 # every size the CLI allocates is checked before the allocation, so these
