@@ -223,11 +223,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(command=args.command, **merged)
 
 
-def _write_csv(path: Path, header: str, chunks) -> None:
-    """Write ``header`` and the row-text ``chunks`` (whole lines) as one CSV file."""
+def _write_csv(path: Path, header: str, *columns: np.ndarray) -> None:
+    """Write ``header`` and one row per entry of the equal-length float ``columns``,
+    each cell its ``repr``, as one CSV file."""
+    values = np.column_stack(columns).ravel().tolist()  # row by row
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.writelines(chunks)
+        fh.write((",".join(["%r"] * len(columns)) + "\n") * len(columns[0]) % tuple(values))
 
 
 def _read_columns(path: str, *columns: str, limit: int) -> np.ndarray:
@@ -380,25 +382,6 @@ def cmd_generate(config: RunConfig) -> int:
     return 0
 
 
-def _estimate_summary(config: RunConfig, estimate, sample_count: int, source: str) -> dict:
-    lo, hi = estimate.support
-    min_density = estimate.min_density()
-    return {
-        "source": source,
-        "sample_count": sample_count,
-        "rule": estimate.rule.label(),
-        "bin_count": estimate.bin_count,
-        "boundary": estimate.boundary.value,
-        "support": [lo, hi],
-        "min_density": min_density,
-        "has_negative_density": min_density < 0.0,
-        "turning_points": count_turning_points(estimate),
-        "normalization_analytic": estimate.normalization(),
-        "normalization_simpson": quadrature_normalization(estimate),
-        "grid_size": config.grid,
-    }
-
-
 def cmd_estimate(config: RunConfig) -> int:
     if config.input:
         values = _read_samples(config.input, config.column)
@@ -417,18 +400,25 @@ def cmd_estimate(config: RunConfig) -> int:
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "histogram.csv", "bin_left,bin_right,height",
+               hist.edges[:-1], hist.edges[1:], hist.heights)
+    _write_csv(out_dir / "curve.csv", "u,pdf", u, estimate(u))
 
-    edges = hist.edges.tolist()
-    _write_csv(out_dir / "histogram.csv", "bin_left,bin_right,height", [
-        "".join([f"{left!r},{right!r},{height!r}\n"
-                 for left, right, height in zip(edges, edges[1:], hist.heights.tolist())])
-    ])
-
-    _write_csv(out_dir / "curve.csv", "u,pdf", [
-        "".join([f"{ui!r},{pi!r}\n" for ui, pi in zip(u.tolist(), estimate(u).tolist())])
-    ])
-
-    summary = _estimate_summary(config, estimate, len(samples), source)
+    min_density = estimate.min_density()
+    summary = {
+        "source": source,
+        "sample_count": len(samples),
+        "rule": estimate.rule.label(),
+        "bin_count": estimate.bin_count,
+        "boundary": estimate.boundary.value,
+        "support": [lo, hi],
+        "min_density": min_density,
+        "has_negative_density": min_density < 0.0,
+        "turning_points": count_turning_points(estimate),
+        "normalization_analytic": estimate.normalization(),
+        "normalization_simpson": quadrature_normalization(estimate),
+        "grid_size": config.grid,
+    }
     with open(out_dir / "summary.jsonl", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(summary) + "\n")
 

@@ -46,6 +46,8 @@ def _frozen_array(values) -> np.ndarray:
     if (type(values) is np.ndarray and values.dtype == np.float64
             and values.base is None and not values.flags.writeable):
         return values
+    if np.iscomplexobj(values):  # the cast to float would drop the imaginary parts
+        raise DataError("values must be real numbers, not complex")
     out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
@@ -325,6 +327,8 @@ def knuth_log_posterior(counts, total: int) -> float:
         raise DataError("counts must be a non-empty 1-d sequence")
     if np.any(counts < 0):
         raise DataError("counts must be nonnegative")
+    if counts.dtype.kind == "f" and not np.all(np.isfinite(counts) & (np.floor(counts) == counts)):
+        raise DataError("counts must be whole numbers")
     total = _size(total, "total", 1)
     if int(counts.sum()) != total:
         raise DataError(f"counts sum to {int(counts.sum())}, expected total {total}")

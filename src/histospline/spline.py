@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError, NumericError, OutOfSupportError
-from .histogram import _checked_knots, _frozen_array, _trusted
+from .histogram import _checked_knots, _frozen_array, _size, _trusted
 
 __all__ = [
     "Boundary",
@@ -65,19 +65,27 @@ def as_knot_vector(tau) -> np.ndarray:
     return _checked_knots(tau, "knot vector", strict=False)
 
 
+# Bound on the degree of the basis pair: its recursion makes 2**p calls (1.4 s at p = 20).
+MAX_BASIS_DEGREE = 16
+
+
+def _basis_args(i, p, tau, u, lowest: int) -> tuple:
+    """``(i, p, tau, u)`` checked for the basis pair: :class:`DataError` unless ``i`` and
+    ``p`` are integers, ``p`` in ``lowest..MAX_BASIS_DEGREE``; ``IndexError`` for a bad ``i``."""
+    tau = as_knot_vector(tau)
+    p = _size(p, "spline degree", lowest, MAX_BASIS_DEGREE)
+    if not 0 <= _size(i, "basis index", -np.inf) <= tau.size - p - 2:
+        raise IndexError(f"basis index {i} out of range [0, {tau.size - p - 2}] for degree {p}")
+    return i, p, tau, float(u)
+
+
 def bspline_basis(i: int, p: int, tau, u: float) -> float:
     """Evaluate the basis function ``N[i,p]`` on knots ``tau`` at ``u``.
 
     Defined for any real ``u``; the function is nonnegative and vanishes
     identically outside its support ``[tau[i], tau[i+p+1]]``.
     """
-    tau = as_knot_vector(tau)
-    if p < 0:
-        raise DataError("spline degree must be nonnegative")
-    n = tau.size
-    if not 0 <= i <= n - p - 2:
-        raise IndexError(f"basis index {i} out of range [0, {n - p - 2}] for degree {p}")
-    return _basis(i, p, tau, float(u))
+    return _basis(*_basis_args(i, p, tau, u, 0))
 
 
 def _basis(i: int, p: int, tau: np.ndarray, u: float) -> float:
@@ -105,13 +113,7 @@ def bspline_basis_derivative(i: int, p: int, tau, u: float) -> float:
 
     with zero-denominator terms dropped (the 0/0 convention).
     """
-    tau = as_knot_vector(tau)
-    if p < 1:
-        raise DataError("derivative recursion requires degree >= 1")
-    n = tau.size
-    if not 0 <= i <= n - p - 2:
-        raise IndexError(f"basis index {i} out of range [0, {n - p - 2}] for degree {p}")
-    u = float(u)
+    i, p, tau, u = _basis_args(i, p, tau, u, 1)
     total = 0.0
     left_den = tau[i + p] - tau[i]
     if left_den > 0.0:
@@ -232,7 +234,7 @@ def fit_interpolating_spline(x, F, boundary: Boundary | str) -> CubicSplineModel
     """
     boundary = Boundary(boundary)
     x = _checked_knots(x, "x")
-    F = np.asarray(F, dtype=float)
+    F = _frozen_array(F)
     if F.shape != x.shape:
         raise DataError("x and F must be 1-d arrays of equal length")
     if not np.all(np.isfinite(F)):

@@ -18,6 +18,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import histospline
 from histospline import (
@@ -839,6 +842,38 @@ class TestEstimate:
                 "--out-dir", str(tmp_path),
             ])
         assert exc.value.code == 1
+
+
+def f_string_rows(*columns):
+    """The reference text of :func:`cli._write_csv`'s rows: each cell's ``repr``."""
+    return "".join(",".join(f"{v!r}" for v in row) + "\n"
+                   for row in zip(*(c.tolist() for c in columns)))
+
+
+# the float range's extremes and subnormals, each a different ``repr`` length
+EDGE_FLOATS = [-0.0, 5e-324, 1e-310, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(table=st.tuples(st.integers(1, 3), st.integers(0, 2000)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats() | st.sampled_from(EDGE_FLOATS))))
+def test_write_csv_rows_are_the_repr_of_each_cell(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        cli._write_csv(path, "header", *table)
+        assert path.read_bytes() == ("header\n" + f_string_rows(*table)).encode()
+
+
+def test_estimate_writes_the_reference_curve_of_a_large_grid(small_corpus_file, tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["estimate", "--input", str(small_corpus_file), "--grid", "100000",
+                     "--out-dir", str(tmp_path / "est")]) == 0
+    _, rows = read_csv(small_corpus_file)
+    samples = Samples(np.array([float(row[2]) for row in rows]))
+    est = estimate_pdf(samples, BinRule.knuth(), "not-a-knot")
+    u = np.linspace(*est.support, 100_000)
+    expected = "u,pdf\n" + f_string_rows(u, est(u))
+    assert (tmp_path / "est" / "curve.csv").read_text(encoding="utf-8") == expected
 
 
 class TestCompare:

@@ -49,6 +49,11 @@ class TestSamples:
         with pytest.raises(DataError, match="finite"):
             Samples(np.array([1.0, np.inf]))
 
+    def test_complex_values_are_a_data_error(self):
+        # a cast to float would keep the real parts and only warn
+        with pytest.raises(DataError, match="not complex"):
+            Samples(np.array([1 + 5j, 2, 3]))
+
     @pytest.mark.parametrize("label", ["sqrt", "sturges", "scott", "fd", "knuth", "fixed:5"])
     def test_overflowing_spread_is_a_data_error(self, label):
         # max - min = 2e308 overflows; every rule and the edges need it
@@ -319,6 +324,14 @@ class TestKnuthLogPosterior:
     def test_bad_inputs(self, counts, total, message):
         with pytest.raises(DataError, match=message):
             knuth_log_posterior(counts, total)
+
+    @pytest.mark.parametrize("counts", [[1.5, 1.5], [0.25, 2.75], [np.nan, 3.0], [np.inf, 3.0]])
+    def test_non_integral_counts_are_a_data_error(self, counts):
+        with pytest.raises(DataError, match="counts must be whole numbers"):
+            knuth_log_posterior(counts, 3)
+
+    def test_integral_float_counts(self):
+        assert knuth_log_posterior([1.0, 2.0], 3) == knuth_log_posterior([1, 2], 3)
 
     def test_numpy_integer_total(self):
         assert knuth_log_posterior([1, 2], np.int64(3)) == knuth_log_posterior([1, 2], 3)

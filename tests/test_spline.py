@@ -129,6 +129,33 @@ class TestBasisFunction:
         with pytest.raises(DataError):
             bspline_basis(0, -1, tau, 2.0)
 
+    @pytest.mark.parametrize("basis", [bspline_basis, bspline_basis_derivative])
+    @pytest.mark.parametrize("i, p, message", [
+        (0, 1.5, "spline degree must be an integer, got 1.5"),
+        (0, True, "spline degree must be an integer, got True"),
+        (0.5, 2, "basis index must be an integer, got 0.5"),
+        (False, 2, "basis index must be an integer, got False"),
+    ])
+    def test_non_integer_degree_or_index_is_a_data_error(self, basis, i, p, message):
+        with pytest.raises(DataError, match=message):
+            basis(i, p, np.arange(8.0), 2.5)
+
+    def test_numpy_integer_degree_and_index(self):
+        tau = np.arange(8.0)
+        assert bspline_basis(np.int64(1), np.int32(3), tau, 2.5) == bspline_basis(1, 3, tau, 2.5)
+
+    @pytest.mark.parametrize("basis, lowest", [(bspline_basis, 0),
+                                               (bspline_basis_derivative, 1)])
+    def test_degree_is_bounded(self, basis, lowest):
+        # the recursion makes 2**p calls, so the degree has a ceiling
+        tau = np.arange(40.0)
+        top = spline.MAX_BASIS_DEGREE
+        message = rf"^spline degree must be in {lowest}\.\.{top}$"
+        for p in (lowest - 1, top + 1, 1000):
+            with pytest.raises(DataError, match=message):
+                basis(0, p, tau, 2.5)
+        assert basis(0, top, tau, top / 2) > 0.0  # N[0,p] rises to its middle
+
     def test_knot_vector_validation(self):
         with pytest.raises(DataError, match="non-decreasing"):
             as_knot_vector([0.0, 2.0, 1.0])
@@ -302,6 +329,11 @@ class TestFitInterpolatingSpline:
     def test_non_finite_ordinates(self, bad):
         with pytest.raises(DataError, match="x and F must be finite"):
             fit_interpolating_spline([0.0, 1.0, 2.0], [0.0, bad, 1.0], Boundary.NATURAL)
+
+    def test_complex_ordinates_are_a_data_error(self):
+        # a cast to float would fit the real parts and only warn
+        with pytest.raises(DataError, match="not complex"):
+            fit_interpolating_spline([0, 1, 2], np.array([0, 0.5 + 1j, 1]), "natural")
 
     def test_unknown_boundary_is_a_data_error(self):
         message = "^unknown boundary condition 'bogus'$"
