@@ -96,10 +96,10 @@ class Samples:
     Values must be finite, not all equal, with a finite spread
     ``max - min``, which every bin rule and the histogram edges are built
     from.  The ``(min, max)`` found by that check is kept as ``bounds``, a
-    pair of floats derived from the values, not a field.  The first Knuth
-    scan sorts the values once and keeps that read-only copy, another 8N
-    bytes, for later scans to read and for :func:`build_histogram` to
-    count its bins in, with no sort of its own.
+    pair of floats derived from the values, not a field.  A Knuth scan
+    keeps the bin counts of the ``B`` it chose, ``B`` integers, for
+    :func:`build_histogram` to divide; the sorted values it scans die
+    with it.
     """
 
     values: np.ndarray
@@ -119,18 +119,10 @@ class Samples:
             )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "bounds", (lo, hi))
-        object.__setattr__(self, "_sorted_values", None)
+        object.__setattr__(self, "_knuth_counts", None)
 
     def __len__(self) -> int:
         return self.values.size
-
-    def _sorted(self) -> np.ndarray:
-        # the values in increasing order: sorted on the first call, then kept
-        if self._sorted_values is None:
-            sorted_values = np.sort(self.values)
-            sorted_values.setflags(write=False)
-            object.__setattr__(self, "_sorted_values", sorted_values)
-        return self._sorted_values
 
 
 @dataclass(frozen=True)
@@ -280,7 +272,9 @@ def select_bin_count(samples: Samples, rule: BinRule) -> int:
     if rule.tag == "fixed":
         return rule.fixed_count
     if rule.tag == "knuth":
-        return _knuth_scan(samples._sorted(), rule.knuth_search_max)
+        counts = _knuth_scan(np.sort(values), rule.knuth_search_max)
+        object.__setattr__(samples, "_knuth_counts", counts)
+        return counts.size
 
     lo, hi = samples.bounds
     if rule.tag == "scott":
@@ -348,10 +342,10 @@ KNUTH_SCAN_CHUNK = 1 << 16
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
-def _knuth_scan(sorted_values: np.ndarray, search_max: int) -> int:
-    """Argmax of the posterior of the samples ``sorted_values``, in
-    increasing order, over ``B = 1..search_max``; ties go to the smallest
-    ``B``.
+def _knuth_scan(sorted_values: np.ndarray, search_max: int) -> np.ndarray:
+    """The bin counts (read-only, copied out of their chunk) of the argmax
+    of the posterior of the samples ``sorted_values``, in increasing order,
+    over ``B = 1..search_max``; ties go to the smallest ``B``.
 
     Every ``B`` is scored in numpy, within a rounding bound of its exact
     posterior; only the ``B`` whose bound reaches the best posterior seen
@@ -359,7 +353,7 @@ def _knuth_scan(sorted_values: np.ndarray, search_max: int) -> int:
     order.  The argmax is therefore that of an exact per-``B`` scan.
     """
     n = sorted_values.size
-    best_b, best_lp = 1, -math.inf
+    best_counts, best_lp = np.array([n]), -math.inf
     for bs, starts, counts, approx, err in _knuth_chunks(sorted_values, search_max):
         # a B whose upper bound is below another B's lower bound, or below
         # an exact posterior already found, is neither the argmax nor tied
@@ -369,14 +363,15 @@ def _knuth_scan(sorted_values: np.ndarray, search_max: int) -> int:
             b, start = int(bs[i]), int(starts[i])
             lp = knuth_log_posterior(counts[start:start + b], n)
             if lp > best_lp:
-                best_b, best_lp = b, lp
-    return best_b
+                best_counts, best_lp = counts[start:start + b].copy(), lp
+    best_counts.setflags(write=False)
+    return best_counts
 
 
 def _knuth_chunks(sorted_values: np.ndarray, search_max: int):
     """Score ``B = 1..search_max`` in chunks of consecutive ``B``, for the
-    samples ``sorted_values``, in increasing order (as the scan's caller
-    sorts them once and keeps them, see :class:`Samples`).
+    samples ``sorted_values``, in increasing order (as
+    :func:`select_bin_count` sorts them for each scan).
 
     Yields ``(bs, starts, counts, approx, err)`` per chunk: ``counts``
     holds the bin counts of every ``B`` in ``bs`` end to end, those of
@@ -573,25 +568,25 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
     uniform bins.  Each sample is counted in exactly one bin (half-open
     bins, last bin closed so the maximum is counted); heights are the
     integer counts over ``N`` and over the bin widths, ``count / N``
-    rounded once.  The counts are read from a Knuth scan's sorted copy
-    when one is kept, and otherwise from each ``HISTOGRAM_BLOCK``-sample
-    block sorted in turn.  Raises :class:`DataError` when a height is not
-    finite: its bin is too narrow, or of zero width, as on a range a few
-    ulps wide.
+    rounded once.  The counts are those a Knuth scan kept when it chose
+    ``bin_count``, and otherwise are summed over ``HISTOGRAM_BLOCK``-sample
+    blocks, each sorted in turn.  Raises :class:`DataError` when a height
+    is not finite: its bin is too narrow, or of zero width, as on a range a
+    few ulps wide.
     """
     bin_count = _size(bin_count, "bin_count", 1, MAX_BIN_COUNT)
     lo, hi = samples.bounds
     edges = np.linspace(lo, hi, bin_count + 1)
     n = len(samples)
-    # the samples below each left edge; the last edge is the largest sample
-    if samples._sorted_values is not None:
-        below = samples._sorted_values.searchsorted(edges[:-1])
-    else:
+    counts = samples._knuth_counts
+    if counts is None or counts.size != bin_count:
+        # the samples below each left edge; the last edge is the largest sample
         below = np.zeros(bin_count, dtype=np.intp)
         for i in range(0, n, HISTOGRAM_BLOCK):
             below += np.sort(samples.values[i:i + HISTOGRAM_BLOCK]).searchsorted(edges[:-1])
+        counts = np.diff(below, append=n)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        heights = np.diff(below, append=n) / n / np.diff(edges)
+        heights = counts / n / np.diff(edges)
     if not np.isfinite(heights).all():
         raise DataError(
             f"bin density overflows: {bin_count} bins over a range of {hi - lo!r} "
@@ -601,6 +596,6 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
     return Histogram(edges=edges, heights=heights)
 
 
-# Samples sorted at a time when no sorted copy is kept, which bounds the
-# histogram's temporaries.
+# Samples sorted at a time when no Knuth scan kept the counts, which
+# bounds the histogram's temporaries.
 HISTOGRAM_BLOCK = 65536

@@ -156,6 +156,8 @@ class CubicSplineModel:
 
     def _local(self, u):
         """Map evaluation points to (segment index, local offset)."""
+        if np.iscomplexobj(u):  # the cast to float would drop the imaginary parts
+            raise DataError("evaluation points must be real numbers, not complex")
         arr = np.asarray(u, dtype=float)
         lo, hi = self.knots[0], self.knots[-1]
         outside = ~((arr >= lo) & (arr <= hi))  # NaN is outside too

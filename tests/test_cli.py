@@ -567,6 +567,45 @@ class TestEstimate:
         assert n == read_summary(tmp_path / "out" / "summary.jsonl")["sample_count"]
         assert retained < 1.1 * 8 * n
 
+    # The traced peak of estimate grows per sample by about 2.08 x 8 bytes
+    # from --input under Knuth (the values and the scan's sorted temporary),
+    # 1.00 x 8 under sturges (the values; the histogram sorts one block at a
+    # time) and 1.24 x 8 from --simulate under either rule (the generator's
+    # peak).  A new full-size temporary would add 1 to one of these.  Both
+    # simulated corpora are above one CORPUS_BLOCK, below which the
+    # generator's block temporaries grow with N too.
+    @pytest.mark.parametrize("source, counts, bound", [
+        ("input-knuth", (30, 120), 2.2),
+        ("input-sturges", (30, 120), 1.1),
+        ("simulate", (100, 400), 1.35),
+    ], ids=["input-knuth", "input-sturges", "simulate"])
+    def test_peak_growth_per_sample(self, source, counts, bound, tmp_path):
+        def argv(count):
+            if source == "simulate":
+                flags = ["--simulate", "--count", str(count), "--seed", "1"]
+            else:
+                corpus = tmp_path / f"gen{count}"
+                assert main(["generate", "--count", str(count), "--seed", "1",
+                             "--out-dir", str(corpus)]) == 0
+                flags = ["--input", str(corpus / "corpus.csv"), "--rule", source.split("-")[1]]
+            return ["estimate", *flags, "--out-dir", str(tmp_path / "out")]
+
+        peaks, sizes = [], []
+        with contextlib.redirect_stdout(io.StringIO()):
+            small, large = map(argv, counts)
+            assert main(small) == 0  # first-use imports are not counted below
+            for args in (small, large):
+                tracemalloc.start()
+                try:
+                    assert main(args) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                sizes.append(read_summary(tmp_path / "out" / "summary.jsonl")["sample_count"])
+        growth = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) / 8
+        # every path holds the sample vector itself
+        assert 0.9 < growth < bound
+
     def test_histogram_csv_matches_library(self, small_corpus_file, tmp_path):
         out = tmp_path / "est"
         assert main([

@@ -188,6 +188,16 @@ class TestPdfEvaluation:
         with pytest.raises(OutOfSupportError, match=r"evaluation point np.float64\(nan\) outside"):
             evaluate(est)
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda est: est(np.array([0.5 + 3j])),
+        lambda est: est.cdf(1.5 + 0j),
+    ], ids=["density", "cdf"])
+    def test_complex_evaluation_points_are_a_data_error(self, evaluate):
+        est = estimate_pdf(Samples(np.array([0.0, 1.0, 2.0, 3.0])), BinRule.fixed(3), "natural")
+        with pytest.raises(DataError,
+                           match="^evaluation points must be real numbers, not complex$"):
+            evaluate(est)
+
     @staticmethod
     def fitted():
         est = estimate_pdf(Samples(np.random.default_rng(43).normal(size=5000)), BinRule.knuth(),
@@ -389,6 +399,16 @@ class TestKlDivergence:
         # numpy integers are sizes too
         assert kl_divergence(est, est, np.int64(1001)) == 0.0
         assert count_turning_points(est, np.int64(1001)) == count_turning_points(est)
+
+    @pytest.mark.parametrize("u, p_vals, q_vals", [
+        ([0.0, 1.0], [1 + 1j, 1.0], [1.0, 1.0]),
+        ([0.0, 1.0], [1.0, 1.0], np.array([1.0, 1.0 + 0j])),
+        (np.array([0.0, 1j]), [1.0, 1.0], [1.0, 1.0]),
+    ], ids=["p", "q", "grid"])
+    def test_complex_grid_kl_inputs_are_a_data_error(self, u, p_vals, q_vals):
+        # the casts to float would drop the imaginary parts: 0.0, with a warning
+        with pytest.raises(DataError, match="^grid and densities must be real numbers, not complex$"):
+            estimator_module.grid_kl(u, p_vals, q_vals)
 
     def test_grid_cap_itself_is_accepted(self):
         est = estimate_pdf(Samples(np.random.default_rng(51).normal(size=500)),

@@ -401,37 +401,50 @@ class TestKnuthRule:
 
 def per_step_knuth_scan(values, search_max):
     """The scan as one np.linspace and one searchsorted per bin count:
-    the argmax and every log-posterior, in order of B."""
+    the argmax, and every log-posterior and bin-count vector, in order of
+    B."""
     sorted_values = np.sort(values)
     n = sorted_values.size
-    log_posteriors = []
+    log_posteriors, bin_counts = [], []
     for b in range(1, search_max + 1):
         edges = np.linspace(sorted_values[0], sorted_values[-1], b + 1)
-        counts = np.diff(np.append(np.searchsorted(sorted_values, edges[:-1]), n))
+        counts = np.diff(np.searchsorted(sorted_values, edges[:-1]), append=n)
         log_posteriors.append(knuth_log_posterior(counts, n))
+        bin_counts.append(counts)
     best = max(range(search_max), key=lambda i: (log_posteriors[i], -i))
-    return best + 1, log_posteriors
+    return best + 1, log_posteriors, bin_counts
 
 
 def scanned_posteriors(values, search_max):
     """Per B of the package's scan, in order of B: the exact posterior from
-    the scan's own bin counts, and the interval the scan scores it in."""
-    exact, lower, upper = [], [], []
+    the scan's own bin counts, the interval the scan scores it in, and
+    those counts."""
+    exact, lower, upper, bin_counts = [], [], [], []
     for bs, starts, counts, approx, err in histogram_module._knuth_chunks(np.sort(values),
                                                                           search_max):
         for b, start, a, e in zip(bs.tolist(), starts.tolist(), approx.tolist(), err.tolist()):
             exact.append(knuth_log_posterior(counts[start:start + b], values.size))
             lower.append(a - e)
             upper.append(a + e)
-    return exact, lower, upper
+            bin_counts.append(counts[start:start + b])
+    return exact, lower, upper, bin_counts
+
+
+def same_count_vectors(a, b):
+    return len(a) == len(b) and all(map(np.array_equal, a, b))
 
 
 def assert_scan_matches_per_step_scan(values, search_max):
-    expected_b, expected = per_step_knuth_scan(values, search_max)
-    exact, lower, upper = scanned_posteriors(values, search_max)
+    # a posterior is order-free, so the count vectors are compared too: two
+    # bins swapped would leave every posterior as it is
+    expected_b, expected, expected_counts = per_step_knuth_scan(values, search_max)
+    exact, lower, upper, counts = scanned_posteriors(values, search_max)
     assert exact == expected
+    assert same_count_vectors(counts, expected_counts)
     assert all(lo <= lp <= hi for lo, lp, hi in zip(lower, exact, upper))
-    assert select_bin_count(uniform_samples(values), BinRule.knuth(search_max)) == expected_b
+    samples = uniform_samples(values)
+    assert select_bin_count(samples, BinRule.knuth(search_max)) == expected_b
+    assert np.array_equal(samples._knuth_counts, expected_counts[expected_b - 1])
 
 
 def scan_vector(kind):
@@ -465,7 +478,7 @@ class TestBatchedKnuthScan:
     def test_same_bits_as_the_per_step_scan(self, kind):
         assert_scan_matches_per_step_scan(scan_vector(kind), 200)
 
-    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("chunk", [1, 6, 7, 64])
     @pytest.mark.parametrize("kind", ["normal", "cauchy", "integers", "subnormal"])
     def test_chunk_size_does_not_change_the_result(self, kind, chunk, monkeypatch):
         monkeypatch.setattr(histogram_module, "KNUTH_SCAN_CHUNK", chunk)
@@ -489,9 +502,9 @@ class TestBatchedKnuthScan:
         # one B per chunk: the scan sums a B again exactly only when its
         # upper bound reaches the best exact posterior of the smaller B
         values = scan_vector(kind)
-        _, expected = per_step_knuth_scan(values, 60)
+        _, expected, _ = per_step_knuth_scan(values, 60)
         monkeypatch.setattr(histogram_module, "KNUTH_SCAN_CHUNK", 1)
-        _, _, upper = scanned_posteriors(values, 60)
+        _, _, upper, _ = scanned_posteriors(values, 60)
         contenders = [b for b in range(1, 61)
                       if upper[b - 1] >= max(expected[:b - 1], default=-math.inf)]
         summed = []
@@ -518,7 +531,7 @@ class TestBatchedKnuthScan:
         counts = next(histogram_module._knuth_chunks(np.sort(values), 200))[2]
         assert np.mean(counts >= LGAMMA_TABLE_SIZE) > 0.5
         monkeypatch.setattr(histogram_module, "_lgamma_half", off_by_the_bound)
-        exact, lower, upper = scanned_posteriors(values, 200)
+        exact, lower, upper, _ = scanned_posteriors(values, 200)
         assert all(lo <= lp <= hi for lo, lp, hi in zip(lower, exact, upper))
 
     def test_wide_scan_argmax(self):
@@ -603,7 +616,7 @@ class TestBatchedKnuthScan:
         # also a sample, so an edge one ulp off changes a count.
         assert delta / 200 == step
         values = np.unique(np.concatenate([np.linspace(0.0, delta, b + 1) for b in range(1, 201)]))
-        expected_b, expected = per_step_knuth_scan(values, 200)
+        expected_b, expected, expected_counts = per_step_knuth_scan(values, 200)
         histogram_module._chunk_layout(1, 200)  # built, so only the scan runs below
         points = []  # the point count of each np.linspace call
         linspace = np.linspace
@@ -613,10 +626,11 @@ class TestBatchedKnuthScan:
             return linspace(start, stop, num, **kwargs)
 
         monkeypatch.setattr(np, "linspace", recording)
-        exact, lower, upper = scanned_posteriors(values, 200)
+        exact, lower, upper, counts = scanned_posteriors(values, 200)
         assert select_bin_count(uniform_samples(values), BinRule.knuth(200)) == expected_b
         monkeypatch.undo()
         assert exact == expected
+        assert same_count_vectors(counts, expected_counts)
         assert all(lo <= lp <= hi for lo, lp, hi in zip(lower, exact, upper))
         # the scan runs twice: for its posteriors and for its argmax
         assert points == ([] if step > np.finfo(float).tiny else [*range(2, 202)] * 2)
@@ -648,12 +662,13 @@ class TestBatchedKnuthScan:
 
     def test_scans_of_changing_bounds_match_the_per_step_scan(self):
         values = scan_vector("normal")
-        _, expected = per_step_knuth_scan(values, 1000)
+        _, expected, expected_counts = per_step_knuth_scan(values, 1000)
         histogram_module._chunk_layout.cache_clear()
         for _ in ("cold", "warm"):
             for search_max in self.CHANGING_BOUNDS:
-                exact, lower, upper = scanned_posteriors(values, search_max)
+                exact, lower, upper, counts = scanned_posteriors(values, search_max)
                 assert exact == expected[:search_max]
+                assert same_count_vectors(counts, expected_counts[:search_max])
                 assert all(lo <= lp <= hi for lo, lp, hi in zip(lower, exact, upper))
                 best = max(range(search_max), key=lambda i: (expected[i], -i)) + 1
                 assert select_bin_count(uniform_samples(values), BinRule.knuth(search_max)) == best
@@ -731,12 +746,12 @@ def oracle_masses(values, weights, edges):
 
 def assert_heights_are_exact_counts(values):
     # every height within 2 ulps of the exact count / N / width, with the
-    # integer counts of np.histogram over the same edges, both with and
-    # without a Knuth scan's sorted copy
+    # integer counts of np.histogram over the same edges, both from sorted
+    # blocks and, at the B it chose, from a Knuth scan's counts
     scanned = Samples(values)
-    select_bin_count(scanned, BinRule.knuth())
+    chosen = select_bin_count(scanned, BinRule.knuth())
     for s in (Samples(values), scanned):
-        for bins in (7, 60, 1000):
+        for bins in (7, 60, 1000, chosen):
             hist = build_histogram(s, bins)
             counts, _ = np.histogram(values, bins=hist.edges)
             for height, count, width in zip(hist.heights.tolist(), counts.tolist(),
@@ -868,9 +883,10 @@ def heights_or_error(samples, bins):
 
 
 class TestSortedCopy:
-    """A Knuth scan keeps its sorted copy of the values on the Samples; the
-    histogram counts its bins in it, with the bits of the block-by-block
-    counts of a Samples that keeps no copy."""
+    """A Knuth scan sorts the values into a temporary and keeps only the
+    bin counts of the B it chose on the Samples; the histogram at that B
+    divides them, with the bits of the block-by-block counts of a Samples
+    that no scan has seen."""
 
     # sizes below one block, at it, across it and across two and three
     @pytest.mark.parametrize("size", [2, 1_000, 65_535, 65_536, 65_537, 131_072, 131_073,
@@ -888,16 +904,16 @@ class TestSortedCopy:
         if hi is not None:
             values[:2] = 0.0, hi
         scanned = Samples(values)
-        select_bin_count(scanned, BinRule.knuth())
-        assert scanned._sorted_values is not None
-        for bins in (1, 7, 200, 3000):
+        chosen = select_bin_count(scanned, BinRule.knuth())
+        assert scanned._knuth_counts.size == chosen
+        for bins in (chosen, 1, 7, 200, 3000):
             fresh = Samples(values)
             assert heights_or_error(scanned, bins) == heights_or_error(fresh, bins)
-            assert fresh._sorted_values is None
+            assert fresh._knuth_counts is None
 
     @pytest.mark.parametrize("size", [2, 1_000, 65_536, 65_537, 131_073, 200_000])
     def test_one_sort_per_block_in_a_knuth_estimate(self, size, monkeypatch):
-        # the scan sorts all the values; the histogram counts in its copy
+        # the scan sorts all the values; the histogram divides its counts
         values = np.random.default_rng(size).normal(size=size)
         sorts = []
         sort = np.sort
@@ -911,10 +927,26 @@ class TestSortedCopy:
         assert sorts == [size]
 
     def test_other_rules_keep_no_sorted_copy(self):
+        # nor any counts: the values are the one array a Samples holds
         s = uniform_samples(np.random.default_rng(4).normal(size=1000))
         for label in ("sqrt", "sturges", "scott", "fd", "fixed:5"):
             build_histogram(s, select_bin_count(s, BinRule.parse(label)))
-        assert s._sorted_values is None
+        assert [name for name, value in vars(s).items() if isinstance(value, np.ndarray)] == [
+            "values"]
+        assert s._knuth_counts is None
+
+    @pytest.mark.parametrize("kind", ["normal", "integers", "subnormal"])
+    def test_scanned_samples_hold_only_the_chosen_counts(self, kind):
+        values = scan_vector(kind)
+        s = uniform_samples(values)
+        chosen = select_bin_count(s, BinRule.knuth())
+        arrays = {name for name, value in vars(s).items() if isinstance(value, np.ndarray)}
+        assert arrays == {"values", "_knuth_counts"}
+        counts = s._knuth_counts
+        assert counts.size == chosen and counts.dtype.kind == "i" and counts.sum() == values.size
+        assert counts.base is None and not counts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            counts[0] = 0
 
     @pytest.mark.parametrize("label", ["sqrt", "sturges", "fixed:3"])
     def test_block_counts_hold_one_sorted_block(self, label):
@@ -933,24 +965,32 @@ class TestSortedCopy:
         assert abs(peaks[1] - peaks[0]) <= 0.25e6
         assert max(peaks) < 1.5 * 8 * HISTOGRAM_BLOCK
 
-    def test_samples_keep_two_n_sized_arrays_after_a_knuth_scan(self):
-        # the read-only values and their sorted copy, 8N bytes each; a second
-        # scan and the histogram reuse the copy
+    def test_samples_keep_one_n_sized_array_after_a_knuth_scan(self):
+        # the read-only values, 8N bytes, and B counts: the sorted values
+        # die with the scan, so they show only in the peak
         values = np.random.default_rng(5).normal(size=10**6)
         histogram_module._chunk_layout(1, 200)  # built, so only the scan allocates
         tracemalloc.start()
         try:
             s = Samples(values)
-            select_bin_count(s, BinRule.knuth())
-            after_scan = tracemalloc.get_traced_memory()[0]
-            sorted_values = s._sorted_values
-            build_histogram(s, select_bin_count(s, BinRule.knuth()))
-            retained = tracemalloc.get_traced_memory()[0]
+            hist = build_histogram(s, select_bin_count(s, BinRule.knuth()))
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert after_scan < 2 * values.nbytes + 1e5 and retained < 2 * values.nbytes + 1e5
-        assert s._sorted_values is sorted_values and not sorted_values.flags.writeable
-        assert np.array_equal(sorted_values, np.sort(values))
+        assert retained <= values.nbytes + 1e5
+        assert peak < 2.2 * values.nbytes
+        counts, _ = np.histogram(values, bins=hist.edges)
+        assert np.array_equal(s._knuth_counts, counts)
+
+    def test_a_second_scan_with_another_bound_matches_the_per_step_scan(self):
+        # each scan sorts the values again and replaces the kept counts
+        values = scan_vector("normal")
+        s = uniform_samples(values)
+        for search_max in (200, 60, 400):
+            expected_b, _, expected_counts = per_step_knuth_scan(values, search_max)
+            assert select_bin_count(s, BinRule.knuth(search_max)) == expected_b
+            assert np.array_equal(s._knuth_counts, expected_counts[expected_b - 1])
+            assert heights_or_error(s, expected_b) == heights_or_error(Samples(values), expected_b)
 
 
 @pytest.mark.parametrize("value, lo, hi, message", [

@@ -531,6 +531,19 @@ class TestModelEvaluation:
         with pytest.raises(OutOfSupportError):
             model(np.array([lo, hi + 1.0]))
 
+    @pytest.mark.parametrize("u", [np.array([0.5 + 3j]), 0.5 + 0j, [0.5, 1.0 + 0j]],
+                             ids=["array", "scalar", "list"])
+    @pytest.mark.parametrize("evaluate", [
+        lambda model, u: model(u),
+        lambda model, u: model.derivative(u),
+    ], ids=["value", "derivative"])
+    def test_complex_evaluation_points_are_a_data_error(self, evaluate, u):
+        # a cast to float would evaluate the real parts and only warn
+        model = fit_interpolating_spline([0, 1, 2], [0, 0.5, 1], "natural")
+        with pytest.raises(DataError,
+                           match="^evaluation points must be real numbers, not complex$"):
+            evaluate(model, u)
+
     def test_bad_derivative_order(self):
         _, _, model = sample_model(seed=17)
         with pytest.raises(DataError, match="order"):
