@@ -233,9 +233,8 @@ def _write_csv(path: Path, header: str, *columns: np.ndarray) -> None:
 
 
 def _read_columns(path: str, *columns: str, limit: int) -> np.ndarray:
-    """The named numeric columns of a headered CSV file, shape
-    ``(len(columns), rows)``; one column is returned in an array that owns
-    its data.
+    """The named numeric columns of a headered CSV file as a finite table
+    of shape ``(rows, len(columns))`` that owns its data.
 
     numpy's C parser reads the cells.  It accepts a subset of what
     ``float()`` accepts and skips blank lines, so when it fails, or reads
@@ -243,8 +242,8 @@ def _read_columns(path: str, *columns: str, limit: int) -> np.ndarray:
     :func:`_parse_rows`, which accepts what ``float()`` accepts and names
     the first bad row.  numpy's parser is given at most ``limit + 1``
     lines (its ``max_rows`` would allocate that many rows up front), the
-    fallback at most ``limit + 1`` rows, and a file with more than
-    ``limit`` data rows is a :class:`DataError`.
+    fallback at most ``limit + 1`` rows.  A file with more than ``limit``
+    data rows, fewer than 2 or a non-finite cell is a :class:`DataError`.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -283,10 +282,11 @@ def _read_columns(path: str, *columns: str, limit: int) -> np.ndarray:
         raise DataError(f"{path}: more than the limit of {limit} data rows")
     if rows < 2:
         raise DataError(f"{path}: need at least 2 data rows, found {rows}")
-    if table.shape[1] == 1:
-        table.resize(1, rows)  # (rows, 1) to (1, rows) in place: the same bytes
-        return table
-    return table.T
+    # a NaN reaches both extremes and an inf one, so a finite range needs no search
+    if not (np.isfinite(table.min()) and np.isfinite(table.max())):
+        row, col = np.argwhere(~np.isfinite(table))[0].tolist()  # (row, column), file order
+        raise DataError(f"{path}: row {row + 2}, column {columns[col]!r}: non-finite value")
+    return table
 
 
 def _parse_rows(path: str, fh, columns: tuple[str, ...], indices: list[int],
@@ -307,26 +307,16 @@ def _parse_rows(path: str, fh, columns: tuple[str, ...], indices: list[int],
     return np.frombuffer(values).reshape(-1, len(indices)).copy()
 
 
-def _read_finite(path: str, *columns: str, limit: int) -> np.ndarray:
-    """:func:`_read_columns`, with a :class:`DataError` naming the first non-finite cell."""
-    table = _read_columns(path, *columns, limit=limit)
-    # a NaN reaches both extremes and an inf one, so a finite range needs no search
-    if not (np.isfinite(table.min()) and np.isfinite(table.max())):
-        row, col = np.argwhere(~np.isfinite(table.T))[0].tolist()  # (row, column), file order
-        raise DataError(f"{path}: row {row + 2}, column {columns[col]!r}: non-finite value")
-    return table
-
-
 def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
-    u, pdf = _read_finite(path, "u", "pdf", limit=MAX_GRID_SIZE)
+    u, pdf = _read_columns(path, "u", "pdf", limit=MAX_GRID_SIZE).T
     return _checked_knots(u, f"{path}: curve grid"), pdf
 
 
 def _read_samples(path: str, column: str) -> np.ndarray:
     """The finite ``column`` of ``path`` as a read-only 1-d array that owns
     its data, which :class:`Samples` keeps without a copy."""
-    values = _read_finite(path, column, limit=MAX_CORPUS_SAMPLES)
-    values.resize(values.size)  # (1, rows) to (rows,) in place
+    values = _read_columns(path, column, limit=MAX_CORPUS_SAMPLES)
+    values.resize(values.size)  # (rows, 1) to (rows,) in place: the same bytes
     values.setflags(write=False)
     return values
 

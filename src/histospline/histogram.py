@@ -46,11 +46,20 @@ def _frozen_array(values) -> np.ndarray:
     if (type(values) is np.ndarray and values.dtype == np.float64
             and values.base is None and not values.flags.writeable):
         return values
-    if np.iscomplexobj(values):  # the cast to float would drop the imaginary parts
-        raise DataError("values must be real numbers, not complex")
-    out = np.array(values, dtype=float)
+    out = _real(values, "values", np.array)
     out.setflags(write=False)
     return out
+
+
+def _real(values, name: str, cast=np.asarray) -> np.ndarray:
+    """``cast(values, dtype=float)``; :class:`DataError` naming ``name`` for
+    complex values or ones that numpy cannot cast to float."""
+    try:
+        if not np.iscomplexobj(values):  # the cast to float would drop the imaginary parts
+            return cast(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # e.g. a str, a ragged list, 2**1100
+        raise DataError(f"{name} must be real numbers ({exc})") from exc
+    raise DataError(f"{name} must be real numbers, not complex")
 
 
 def _checked_knots(values, name: str, strict: bool = True) -> np.ndarray:

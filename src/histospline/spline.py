@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError, NumericError, OutOfSupportError
-from .histogram import _checked_knots, _frozen_array, _size, _trusted
+from .histogram import _checked_knots, _frozen_array, _real, _size, _trusted
 
 __all__ = [
     "Boundary",
@@ -156,9 +156,7 @@ class CubicSplineModel:
 
     def _local(self, u):
         """Map evaluation points to (segment index, local offset)."""
-        if np.iscomplexobj(u):  # the cast to float would drop the imaginary parts
-            raise DataError("evaluation points must be real numbers, not complex")
-        arr = np.asarray(u, dtype=float)
+        arr = _real(u, "evaluation points")
         lo, hi = self.knots[0], self.knots[-1]
         outside = ~((arr >= lo) & (arr <= hi))  # NaN is outside too
         if outside.any():

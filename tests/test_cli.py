@@ -104,8 +104,8 @@ class TestGenerate:
             for row in reader:
                 t_loop.append(float(row[1]))
                 x_loop.append(float(row[2]))
-        t, x = _read_columns(str(path), "t", "x", limit=MAX_CORPUS_SAMPLES)
-        (x_only,) = _read_columns(str(path), "x", limit=MAX_CORPUS_SAMPLES)
+        t, x = _read_columns(str(path), "t", "x", limit=MAX_CORPUS_SAMPLES).T
+        (x_only,) = _read_columns(str(path), "x", limit=MAX_CORPUS_SAMPLES).T
         for column, loop in ((t, t_loop), (x, x_loop), (x_only, x_loop)):
             assert np.array_equal(column.view(np.uint64), np.array(loop).view(np.uint64))
 
@@ -284,7 +284,7 @@ def row_by_row(path, columns):
         reader = csv.reader(fh)
         header = next(reader)
         rows = list(reader)
-    return np.array([[float(row[header.index(c)]) for row in rows] for c in columns])
+    return np.array([[float(row[header.index(c)]) for c in columns] for row in rows])
 
 
 class TestReaderParity:
@@ -296,7 +296,7 @@ class TestReaderParity:
         ("x\n\u0661.\u0665\n2\n", ("x",)),  # Arabic-Indic digits
         ("x\r\n1.5\r\n-2e-3\r\n", ("x",)),
         ("\ufeffid,x\n0,1.5\n1,2.5\n", ("x",)),
-        ("x\n\"1.5\"\n 2 \ninf\n1e400\n", ("x",)),
+        ("x\n\"1.5\"\n 2 \n", ("x",)),
         ("x,y\n1,2,3\n4,5,6\n", ("y",)),
         ("u,pdf\n0.0,1.0\n0.5,2_0\n1.0,3.0\n", ("u", "pdf")),
         ("u,pdf\r\n0.0,1.0\r\n0.5,2.0\r\n", ("u", "pdf")),
@@ -321,9 +321,9 @@ class TestReaderParity:
         path.write_text("series_id,t,x\n" + "".join(rows))
         table = _read_columns(str(path), "t", "x", limit=MAX_CORPUS_SAMPLES)
         expected = row_by_row(path, ("t", "x"))
-        assert table.shape == expected.shape == (2, 70_000)
+        assert table.shape == expected.shape == (70_000, 2)
         assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
-        assert table[1, 40_000] == 1000.0
+        assert table[40_000, 1] == 1000.0
 
     @pytest.mark.parametrize("command, text, message", [
         ("estimate", "x\n1\n\n2\n", "row 3, column 'x': bad numeric value"),
@@ -418,7 +418,7 @@ class TestReadFinite:
             raise AssertionError("searched the cells of a finite table")
 
         monkeypatch.setattr(cli.np, "argwhere", no_search)
-        table = cli._read_finite(str(path), "u", "pdf", limit=MAX_GRID_SIZE)
+        table = cli._read_columns(str(path), "u", "pdf", limit=MAX_GRID_SIZE)
         assert table.tolist() == [[0.0, 1.0], [1.0, -2.5]]
 
     @pytest.mark.parametrize("text, message", [
@@ -426,12 +426,15 @@ class TestReadFinite:
         ("u,pdf\n0,1\n1,-inf\n", "row 3, column 'pdf'"),
         ("u,pdf\n0,nan\ninf,1\n", "row 2, column 'pdf'"),  # file order, not column order
         ("u,pdf\nnan,nan\nnan,nan\n", "row 2, column 'u'"),
+        # float() reads these cells, and the reader names them
+        ("u,pdf\n0,1\ninf,1\n", "row 3, column 'u'"),
+        ("u,pdf\n0,1\n1,1e400\n", "row 3, column 'pdf'"),
     ])
     def test_first_non_finite_cell_is_named(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}: non-finite value$"):
-            cli._read_finite(str(path), "u", "pdf", limit=MAX_GRID_SIZE)
+            cli._read_columns(str(path), "u", "pdf", limit=MAX_GRID_SIZE)
 
     @pytest.mark.parametrize("fallback", [False, True], ids=["loadtxt", "parse-rows"])
     def test_one_n_sized_array_is_held_from_the_reader_through_samples(self, tmp_path,
@@ -454,6 +457,45 @@ class TestReadFinite:
         assert retained < 1.1 * values.nbytes
         assert samples.values is column and not column.flags.writeable
         assert np.array_equal(column, values)
+
+
+class TestOneOpenPerInput:
+    """Each input file is opened once, so the bytes read count each input
+    byte once; the float() fallback seeks back in the open file."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """In order, each path that cli opens and "fallback" for each fallback read."""
+        paths = []
+
+        def counting_open(file, *args, **kwargs):
+            paths.append(str(file))
+            return open(file, *args, **kwargs)
+
+        parse_rows = cli._parse_rows
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        monkeypatch.setattr(cli, "_parse_rows",
+                            lambda *a: paths.append("fallback") or parse_rows(*a))
+        return paths
+
+    @pytest.mark.parametrize("cell", ["1000", "1_000"], ids=["loadtxt", "parse-rows"])
+    def test_estimate_opens_its_input_once(self, tmp_path, opened, cell):
+        path = tmp_path / "samples.csv"
+        path.write_text(f"x\n{cell}\n2\n3.5\n4\n")
+        argv = ["estimate", "--input", str(path), "--rule", "sturges",
+                "--out-dir", str(tmp_path / "out")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert opened.count(str(path)) == 1
+        assert opened.count("fallback") == (cell == "1_000")
+
+    def test_compare_opens_each_curve_once(self, tmp_path, opened):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("u,pdf\n0,1\n1,1\n")
+        b.write_text("u,pdf\n0,1\n0.5,1_0\n1,1\n")  # read by the fallback
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["compare", str(a), str(b)]) == 0
+        assert opened == [str(a), str(b), "fallback"]
 
 
 class TestRowLimits:
@@ -977,6 +1019,35 @@ class TestCompare:
         assert main(["compare", str(wide), str(curve)]) == 2
         assert capsys.readouterr().err == (
             f"error: {wide}: curve grid span -1e+308 to 1e+308 overflows the float range\n")
+
+    # The traced peak of compare grows by about 7.98 x 8 bytes per row of
+    # its two curve files: each curve's (rows, 2) table and its checked grid
+    # are held, 6 x 8 bytes per row, and np.interp copies one curve's
+    # read-only grid and strided density column at a time, 2 x 8 more.  The
+    # KL's own arrays have --grid points.
+    def test_peak_growth_per_row(self, tmp_path):
+        def curves(rows):
+            paths = []
+            for name, lo in (("a", 0.0), ("b", 0.25)):
+                path = tmp_path / f"{name}{rows}.csv"
+                cells = np.linspace(lo, lo + 1.0, rows).tolist()
+                path.write_text("u,pdf\n" + "".join(f"{u!r},1.0\n" for u in cells))
+                paths.append(str(path))
+            return ["compare", *paths]
+
+        sizes, peaks = (20_000, 100_000), []
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(curves(100)) == 0  # first-use imports are not counted below
+            for argv in map(curves, sizes):
+                tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        growth = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) / 8
+        # both curves' grids and densities are held while np.interp runs
+        assert 4 < growth < 8.5
 
     def test_natural_vs_not_a_knot_kl_is_small(self, small_corpus_file, tmp_path, capsys):
         curves = {}

@@ -1,5 +1,6 @@
 """Tests for the histogram -> cumulative masses -> spline -> PDF pipeline."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,11 +18,13 @@ from histospline import (
     OutOfSupportError,
     PdfEstimate,
     Samples,
+    TimeSeries,
     build_histogram,
     count_turning_points,
     cumulative_masses,
     estimate_from_histogram,
     estimate_pdf,
+    fit_interpolating_spline,
     flatten_positions,
     generate_corpus,
     kl_divergence,
@@ -505,3 +508,38 @@ def test_array_holding_values_compare_and_hash_by_identity():
         assert value == value and value != twin
         assert hash(value) == hash(value)
         assert len({value, twin}) == 2
+
+
+def _unit_estimate():
+    return estimate_pdf(Samples(np.array([0.0, 1.0, 2.0, 3.0])), BinRule.fixed(3), "natural")
+
+
+# every entry point of the two float casts: numpy's reason stays in the message
+@pytest.mark.parametrize("build, name, reason", [
+    (lambda: Samples([1, 2**1100]), "values", "int too large to convert to float"),
+    (lambda: Samples([object(), 1]), "values", "float() argument must be"),
+    (lambda: Samples([[1, 2], [3]]), "values", "setting an array element with a sequence"),
+    (lambda: Histogram([0, 2**1100], [1.0]), "values", "int too large to convert to float"),
+    (lambda: Histogram([0, 1], ["a"]), "values", "could not convert string to float: 'a'"),
+    (lambda: fit_interpolating_spline(["a", "b", "c"], [0, 1, 2], "natural"), "values",
+     "could not convert string to float: 'a'"),
+    (lambda: fit_interpolating_spline([0, 1, 2], ["a", "b", "c"], "natural"), "values",
+     "could not convert string to float: 'a'"),
+    (lambda: CubicSplineModel([0, 1], [[0, 1, 0, "a"]], "natural"), "values",
+     "could not convert string to float: 'a'"),
+    (lambda: TimeSeries(["a", "b"], [0, 1]), "values", "could not convert string to float"),
+    (lambda: _unit_estimate().spline("a"), "evaluation points",
+     "could not convert string to float: 'a'"),
+    (lambda: _unit_estimate().spline(2**1100), "evaluation points",
+     "int too large to convert to float"),
+    (lambda: _unit_estimate().spline.derivative([[1], [1, 2]]), "evaluation points",
+     "setting an array element with a sequence"),
+    (lambda: _unit_estimate()("a"), "evaluation points", "could not convert string to float"),
+    (lambda: _unit_estimate().cdf(2**1100), "evaluation points",
+     "int too large to convert to float"),
+], ids=["samples-huge-int", "samples-object", "samples-ragged", "histogram-huge-int",
+        "histogram-str", "fit-x-str", "fit-F-str", "model-str", "timeseries-str", "spline-str",
+        "spline-huge-int", "derivative-ragged", "pdf-str", "cdf-huge-int"])
+def test_non_numeric_array_input_is_a_data_error(build, name, reason):
+    with pytest.raises(DataError, match=f"^{name} must be real numbers \\({re.escape(reason)}"):
+        build()
