@@ -19,7 +19,7 @@ import tempfile
 import warnings
 from array import array
 from contextlib import ExitStack, suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from itertools import count, islice
 from operator import itemgetter
 from pathlib import Path
@@ -121,13 +121,6 @@ class RunConfig:
             if type(value) not in _KINDS[kind][0] or kind == _RANGE and not (
                     len(value) == 2 and {*map(type, value)} <= {int, float}):
                 raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
-            if kind in ("float", _RANGE):  # numbers as floats, as the flags give them
-                try:
-                    number = float(value) if kind == "float" else tuple(map(float, value))
-                except OverflowError:
-                    raise UsageError(
-                        f"config key {key!r} is beyond the float range: {value!r}") from None
-                object.__setattr__(self, key, number)
         for key in ("input", "out_dir", "curve_a", "curve_b"):
             path = getattr(self, key) or ""
             if "\0" in path:
@@ -144,9 +137,12 @@ class RunConfig:
                 raise UsageError("estimate needs exactly one input source: --input or --simulate")
             self.bin_rule()
             Boundary(self.bc)
-            check_corpus_size(self.count, self.ranges())
+            ranges = self.ranges()
+            check_corpus_size(self.count, ranges)
         except DataError as exc:
             raise UsageError(str(exc)) from exc
+        for key, value in zip(("v0_range", "t_react_range", "decel_range", "dt"), astuple(ranges)):
+            object.__setattr__(self, key, value)  # floats, as the flags give them
 
     def bin_rule(self) -> BinRule:
         return BinRule.parse(self.rule, knuth_search_max=self.knuth_max)
@@ -309,7 +305,7 @@ def _parse_rows(path: str, fh, columns: tuple[str, ...], indices: list[int],
 
 def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
     u, pdf = _read_columns(path, "u", "pdf", limit=MAX_GRID_SIZE).T
-    return _checked_knots(u, f"{path}: curve grid"), pdf
+    return _checked_knots(u, f"{path}: curve grid"), pdf.copy()  # the table is not held
 
 
 def _read_samples(path: str, column: str) -> np.ndarray:

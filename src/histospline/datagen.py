@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .histogram import _checked_knots, _frozen_array, _size, _trusted
+from .histogram import _checked_knots, _frozen_array, _real, _size, _trusted
 
 __all__ = [
     "ScenarioRanges",
@@ -34,7 +34,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScenarioRanges:
-    """Uniform sampling intervals for corpus generation."""
+    """Uniform sampling intervals for corpus generation, ints or floats kept as floats
+    (see ``_real``); a bool, a string or a range that can draw a bad scenario is a
+    :class:`DataError`."""
 
     v0: tuple[float, float]
     t_react: tuple[float, float]
@@ -43,12 +45,11 @@ class ScenarioRanges:
 
     def __post_init__(self):
         for name in ("v0", "t_react", "decel"):
-            pair = getattr(self, name)
-            try:
-                lo, hi = pair
-            except (TypeError, ValueError):
-                raise DataError(f"{name} range must be a (min, max) pair, got {pair!r}") from None
-            lo, hi = _real(lo, f"{name} range bound"), _real(hi, f"{name} range bound")
+            given = getattr(self, name)
+            pair = given if given is None else _real(given, f"{name} range")
+            if np.shape(pair) != (2,):
+                raise DataError(f"{name} range must be a (min, max) pair, got {given!r}")
+            lo, hi = pair.tolist()
             object.__setattr__(self, name, (lo, hi))
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise DataError(f"{name} range must be finite")
@@ -61,24 +62,16 @@ class ScenarioRanges:
             raise DataError("t_react range must be nonnegative")
         if self.decel[0] <= 0.0:
             raise DataError("decel range must be positive")
-        object.__setattr__(self, "dt", _real(self.dt, "dt"))
+        dt = _real(self.dt, "dt")
+        if dt.ndim:
+            raise DataError(f"dt must be one number, got {self.dt!r}")
+        object.__setattr__(self, "dt", dt.item())
         if not math.isfinite(self.dt):
             raise DataError(f"dt must be finite, got {self.dt!r}")
         if self.dt <= 0.0:
             raise DataError("dt must be positive")
         if not math.isfinite(self.t_react[1] + self.v0[1] / self.decel[0]):
             raise DataError("the longest stop time, t_react max + v0 max / decel min, overflows")
-
-
-def _real(value, name: str) -> float:
-    """``value``, an int or a float (numpy's too, not a bool), as a float;
-    :class:`DataError` naming ``name`` if it is neither or beyond the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise DataError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise DataError(f"{name} is beyond the float range: {value!r}") from None
 
 
 # Upper bound on the samples of one corpus (0.8 GB of x; every series' t

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DisjointSupportsError
-from .histogram import BinRule, Histogram, Samples, _size, build_histogram, select_bin_count
+from .errors import DisjointSupportsError
+from .histogram import BinRule, Histogram, Samples, _real, _size, build_histogram, select_bin_count
 from .spline import Boundary, CubicSplineModel, fit_interpolating_spline
 
 __all__ = [
@@ -150,14 +150,11 @@ def estimate_pdf(samples: Samples, rule: BinRule, boundary: Boundary | str) -> P
 
 
 def grid_kl(u: np.ndarray, p_vals: np.ndarray, q_vals: np.ndarray) -> float:
-    """Trapezoidal Kullback-Leibler integral of two densities sampled on a
-    shared grid, with both densities floored at ``DENSITY_FLOOR`` before
-    the log (spline estimates can dip to zero or below)."""
-    if any(map(np.iscomplexobj, (u, p_vals, q_vals))):  # the casts would drop imaginary parts
-        raise DataError("grid and densities must be real numbers, not complex")
-    p_c = np.maximum(np.asarray(p_vals, dtype=float), DENSITY_FLOOR)
-    q_c = np.maximum(np.asarray(q_vals, dtype=float), DENSITY_FLOOR)
-    return float(np.trapezoid(p_c * np.log(p_c / q_c), np.asarray(u, dtype=float)))
+    """Trapezoidal Kullback-Leibler integral of two densities sampled on a shared grid,
+    ints or floats (see ``_real``; else a :class:`DataError`), with both densities floored
+    at ``DENSITY_FLOOR`` before the log (spline estimates can dip to zero or below)."""
+    p, q = (np.maximum(_real(v, "grid and densities"), DENSITY_FLOOR) for v in (p_vals, q_vals))
+    return float(np.trapezoid(p * np.log(p / q), _real(u, "grid and densities")))
 
 
 def kl_divergence(p: PdfEstimate, q: PdfEstimate, grid_size: int = 1001) -> float:

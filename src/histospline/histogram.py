@@ -52,14 +52,23 @@ def _frozen_array(values) -> np.ndarray:
 
 
 def _real(values, name: str, cast=np.asarray) -> np.ndarray:
-    """``cast(values, dtype=float)``; :class:`DataError` naming ``name`` for
-    complex values or ones that numpy cannot cast to float."""
+    """``cast(values, dtype=float)`` of ints and floats, Python's or numpy's; anything else,
+    as bools, strings and bytes (numeric ones too), complex values, a ragged list or
+    ``2**1100``, is a :class:`DataError` naming ``name``."""
     try:
-        if not np.iscomplexobj(values):  # the cast to float would drop the imaginary parts
-            return cast(values, dtype=float)
+        dtype = np.asarray(values).dtype  # a sequence's array, dropped before the cast
+        if dtype.kind != "c":  # the cast to float would drop the imaginary parts
+            out = cast(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:  # e.g. a str, a ragged list, 2**1100
         raise DataError(f"{name} must be real numbers ({exc})") from exc
-    raise DataError(f"{name} must be real numbers, not complex")
+    types = [dtype.type]
+    if dtype.kind == "O" or dtype.kind in "iuf" and isinstance(values, (list, tuple)):
+        # numpy reads [True, 2.0] as floats, so a sequence's scalars are checked one by one
+        types = map(type, values if out.ndim == 1 else np.array(values, dtype=object).flat)
+    for t in dict.fromkeys(types):  # named as str_ -> str, complex128 -> complex
+        if t is bool or not issubclass(t, (int, float, np.integer, np.floating)):
+            raise DataError(f"{name} must be real numbers, not {t.__name__.rstrip('_0123456789')}")
+    return out
 
 
 def _checked_knots(values, name: str, strict: bool = True) -> np.ndarray:
@@ -321,20 +330,20 @@ def knuth_log_posterior(counts, total: int) -> float:
 
     ``N ln B + lnG(B/2) - B lnG(1/2) - lnG(N + B/2) + sum_k lnG(n_k + 1/2)``
 
-    where ``lnG`` is the log-gamma function.  The value is only meaningful
-    relative to other bin counts of the same data, so callers scan ``B``
-    and keep the argmax.
+    where ``lnG`` is the log-gamma function.  The value only ranks bin counts of the same
+    data, so callers scan ``B`` and keep the argmax.  :class:`DataError` unless ``counts`` are
+    whole, nonnegative ints or floats (see ``_real``) summing to ``total``.
     """
-    counts = np.asarray(counts)
+    counts = _real(counts, "counts")
     if counts.ndim != 1 or counts.size < 1:
         raise DataError("counts must be a non-empty 1-d sequence")
     if np.any(counts < 0):
         raise DataError("counts must be nonnegative")
-    if counts.dtype.kind == "f" and not np.all(np.isfinite(counts) & (np.floor(counts) == counts)):
+    if not np.all(np.isfinite(counts) & (np.floor(counts) == counts)):
         raise DataError("counts must be whole numbers")
     total = _size(total, "total", 1)
-    if int(counts.sum()) != total:
-        raise DataError(f"counts sum to {int(counts.sum())}, expected total {total}")
+    if sum(counts.tolist()) != total:  # Python's float sum overflows to inf, with no warning
+        raise DataError(f"counts sum to {sum(counts.tolist()):.17g}, expected total {total}")
     # fsum rounds once, so the order of the per-bin terms is irrelevant
     return _knuth_head(counts.size, float(total)) + math.fsum(
         map(math.lgamma, (counts + 0.5).tolist()))

@@ -76,14 +76,17 @@ def _basis_args(i, p, tau, u, lowest: int) -> tuple:
     p = _size(p, "spline degree", lowest, MAX_BASIS_DEGREE)
     if not 0 <= _size(i, "basis index", -np.inf) <= tau.size - p - 2:
         raise IndexError(f"basis index {i} out of range [0, {tau.size - p - 2}] for degree {p}")
-    return i, p, tau, float(u)
+    u = _real(u, "u")
+    if u.ndim:
+        raise DataError(f"u must be one number, not an array of shape {u.shape}")
+    return i, p, tau, u.item()
 
 
 def bspline_basis(i: int, p: int, tau, u: float) -> float:
     """Evaluate the basis function ``N[i,p]`` on knots ``tau`` at ``u``.
 
-    Defined for any real ``u``; the function is nonnegative and vanishes
-    identically outside its support ``[tau[i], tau[i+p+1]]``.
+    Defined for any real ``u``, one int or float (see ``_real``), else a :class:`DataError`;
+    the function is nonnegative and vanishes outside its support ``[tau[i], tau[i+p+1]]``.
     """
     return _basis(*_basis_args(i, p, tau, u, 0))
 

@@ -239,15 +239,20 @@ class TestGenerateCorpus:
         (dict(decel=(0.0, 4.0)), "decel range must be positive"),
         (dict(decel=(-1.0, 4.0)), "decel range must be positive"),
         (dict(dt=0.0), "dt must be positive"),
-        # each field is read as a float, or rejected naming the field
-        (dict(v0=(1.0, 10**400)), r"v0 range bound is beyond the float range: 1000"),
-        (dict(dt=10**400), r"dt is beyond the float range: 1000"),
-        (dict(t_react=(0.0, "1")), r"t_react range bound must be a real number, got '1'$"),
-        (dict(decel=(True, 4.0)), r"decel range bound must be a real number, got True$"),
-        (dict(dt="0.01"), r"dt must be a real number, got '0.01'$"),
-        (dict(dt=np.True_), r"dt must be a real number, got np.True_$"),
+        # each field is read as floats, or rejected naming the field
+        (dict(v0=(1.0, 10**400)),
+         r"v0 range must be real numbers \(int too large to convert to float\)$"),
+        (dict(dt=10**400), r"dt must be real numbers \(int too large to convert to float\)$"),
+        (dict(t_react=(0.0, "1")), r"t_react range must be real numbers, not str$"),
+        (dict(decel=(True, 4.0)), r"decel range must be real numbers, not bool$"),
+        (dict(dt="0.01"), r"dt must be real numbers, not str$"),
+        (dict(dt=np.True_), r"dt must be real numbers, not bool$"),
         (dict(v0=None), r"v0 range must be a \(min, max\) pair, got None$"),
         (dict(v0=(20.0, 25.0, 30.0)), r"v0 range must be a \(min, max\) pair"),
+        (dict(v0=((20.0,), 25.0)),
+         r"v0 range must be real numbers \(setting an array element with a sequence"),
+        (dict(v0=([20.0], [25.0])), r"v0 range must be a \(min, max\) pair"),
+        (dict(dt=[0.01]), r"dt must be one number, got \[0.01\]$"),
     ])
     def test_bad_ranges(self, ranges, message):
         fields = dict(v0=(20.0, 25.0), t_react=(1.0, 1.0), decel=(4.0, 4.0), dt=0.01)

@@ -19,6 +19,7 @@ from histospline import (
     PdfEstimate,
     Samples,
     TimeSeries,
+    bspline_basis,
     build_histogram,
     count_turning_points,
     cumulative_masses,
@@ -28,6 +29,7 @@ from histospline import (
     flatten_positions,
     generate_corpus,
     kl_divergence,
+    knuth_log_posterior,
     quadrature_normalization,
     select_bin_count,
 )
@@ -514,7 +516,11 @@ def _unit_estimate():
     return estimate_pdf(Samples(np.array([0.0, 1.0, 2.0, 3.0])), BinRule.fixed(3), "natural")
 
 
-# every entry point of the two float casts: numpy's reason stays in the message
+_BASIS_KNOTS = [0, 0, 0, 1, 2, 3, 3, 3]
+
+
+# every entry point of the one real-number cast: numpy's reason stays in the
+# message, and what it would cast but the rule rejects is named by its type
 @pytest.mark.parametrize("build, name, reason", [
     (lambda: Samples([1, 2**1100]), "values", "int too large to convert to float"),
     (lambda: Samples([object(), 1]), "values", "float() argument must be"),
@@ -537,9 +543,25 @@ def _unit_estimate():
     (lambda: _unit_estimate()("a"), "evaluation points", "could not convert string to float"),
     (lambda: _unit_estimate().cdf(2**1100), "evaluation points",
      "int too large to convert to float"),
+    (lambda: estimator_module.grid_kl(["a", "b"], [1, 1], [1, 1]), "grid and densities",
+     "could not convert string to float: 'a'"),
+    (lambda: estimator_module.grid_kl([0, 1], [1, 2**1100], [1, 1]), "grid and densities",
+     "int too large to convert to float"),
+    (lambda: knuth_log_posterior(["1"], 1), "counts", ", not str"),
+    (lambda: knuth_log_posterior([True], 1), "counts", ", not bool"),
+    (lambda: bspline_basis(0, 2, _BASIS_KNOTS, "a"), "u", "could not convert string to float"),
+    (lambda: bspline_basis(0, 2, _BASIS_KNOTS, 2**1100), "u", "int too large to convert to float"),
+    (lambda: bspline_basis(0, 2, _BASIS_KNOTS, 1j), "u", ", not complex"),
+    (lambda: Samples([True, False]), "values", ", not bool"),
+    (lambda: Samples(["1.5", "2"]), "values", ", not str"),
+    (lambda: Histogram([0, 1], np.array([True])), "values", ", not bool"),
 ], ids=["samples-huge-int", "samples-object", "samples-ragged", "histogram-huge-int",
         "histogram-str", "fit-x-str", "fit-F-str", "model-str", "timeseries-str", "spline-str",
-        "spline-huge-int", "derivative-ragged", "pdf-str", "cdf-huge-int"])
+        "spline-huge-int", "derivative-ragged", "pdf-str", "cdf-huge-int", "grid-kl-str",
+        "grid-kl-huge-int", "knuth-numeric-str", "knuth-bool", "basis-str", "basis-huge-int",
+        "basis-complex", "samples-bool", "samples-numeric-str", "histogram-bool"])
 def test_non_numeric_array_input_is_a_data_error(build, name, reason):
-    with pytest.raises(DataError, match=f"^{name} must be real numbers \\({re.escape(reason)}"):
+    # numpy's reason in parentheses, or the type that the rule rejects
+    tail = reason if reason.startswith(", not ") else f" ({reason}"
+    with pytest.raises(DataError, match=f"^{name} must be real numbers{re.escape(tail)}"):
         build()

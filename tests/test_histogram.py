@@ -320,6 +320,9 @@ class TestKnuthLogPosterior:
         ([1, 2], 3.5, "total must be an integer, got 3.5"),
         ([1, 2], 3.0, "total must be an integer, got 3.0"),
         ([1, 0], True, "total must be an integer, got True"),
+        # whole float counts whose sum overflows, and Python ints beyond the float range
+        ([1e308, 1e308], 5, "counts sum to inf, expected total 5"),
+        ([10**300, 10**300], 5, "counts sum to 2.0000000000000001e\\+300, expected total 5"),
     ])
     def test_bad_inputs(self, counts, total, message):
         with pytest.raises(DataError, match=message):
@@ -332,6 +335,11 @@ class TestKnuthLogPosterior:
 
     def test_integral_float_counts(self):
         assert knuth_log_posterior([1.0, 2.0], 3) == knuth_log_posterior([1, 2], 3)
+        # counts are read as floats: an int vector's posterior is its float copy's, bit for bit
+        counts = np.random.default_rng(4).integers(0, 5000, size=300)
+        total = int(counts.sum())
+        assert (np.float64(knuth_log_posterior(counts, total)).tobytes()
+                == np.float64(knuth_log_posterior(counts.astype(float), total)).tobytes())
 
     def test_numpy_integer_total(self):
         assert knuth_log_posterior([1, 2], np.int64(3)) == knuth_log_posterior([1, 2], 3)

@@ -140,6 +140,11 @@ class TestBasisFunction:
         with pytest.raises(DataError, match=message):
             basis(i, p, np.arange(8.0), 2.5)
 
+    @pytest.mark.parametrize("basis", [bspline_basis, bspline_basis_derivative])
+    def test_evaluation_point_is_one_number(self, basis):
+        with pytest.raises(DataError, match=r"^u must be one number, not an array of shape \(2,\)$"):
+            basis(0, 2, np.arange(8.0), [0.5, 1.0])
+
     def test_numpy_integer_degree_and_index(self):
         tau = np.arange(8.0)
         assert bspline_basis(np.int64(1), np.int32(3), tau, 2.5) == bspline_basis(1, 3, tau, 2.5)
