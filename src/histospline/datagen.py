@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .histogram import _checked_knots, _frozen_array, _real, _size, _trusted
+from .histogram import BLOCK, _checked_knots, _frozen_array, _real, _size, _trusted
 
 __all__ = [
     "ScenarioRanges",
@@ -77,10 +77,6 @@ class ScenarioRanges:
 # Upper bound on the samples of one corpus (0.8 GB of x; every series' t
 # is a prefix of one array), checked before any scenario is drawn.
 MAX_CORPUS_SAMPLES = 10**8
-
-# Samples computed per block by _simulate; bounds its temporaries the way
-# HISTOGRAM_BLOCK bounds build_histogram's.
-CORPUS_BLOCK = 1 << 16
 
 
 def check_corpus_size(count: int, ranges: ScenarioRanges) -> None:
@@ -143,7 +139,7 @@ def _simulate(v0: np.ndarray, t_react: np.ndarray, decel: np.ndarray,
 
     The final sample is the first one at or past the stop, so a series ends
     at its stopping distance (the vehicle is at rest).  The positions of
-    all series are laid end to end and computed ``CORPUS_BLOCK`` samples at
+    all series are laid end to end and computed ``BLOCK`` samples at
     a time, each with the operations, in the order, of a per-series
     evaluation.  Every series' ``t`` is a prefix of one array.
     """
@@ -159,8 +155,8 @@ def _simulate(v0: np.ndarray, t_react: np.ndarray, decel: np.ndarray,
         reaction_distance = v0 * t_react
         # the rest samples' position, by their operations
         stopping_distance = reaction_distance + v0 * stop - half_decel * stop**2
-        for lo in range(0, x.size, CORPUS_BLOCK):
-            index = np.arange(lo, min(lo + CORPUS_BLOCK, x.size))
+        for lo in range(0, x.size, BLOCK):
+            index = np.arange(lo, min(lo + BLOCK, x.size))
             series = np.searchsorted(ends, index, side="right")
             tb = t[index - starts[series]]
             v0b, t_react_b = v0[series], t_react[series]

@@ -40,6 +40,10 @@ MAX_KNUTH_SEARCH = 10_000
 
 NORMALIZATION_TOL = 1e-12
 
+# What one step of a blocked pass holds: samples sorted (build_histogram) or
+# simulated (datagen._simulate), or left edges searched (a Knuth scan chunk).
+BLOCK = 1 << 16
+
 
 def _frozen_array(values) -> np.ndarray:
     """``values`` as a read-only float64 array owning its data: as is, or a copy."""
@@ -52,9 +56,9 @@ def _frozen_array(values) -> np.ndarray:
 
 
 def _real(values, name: str, cast=np.asarray) -> np.ndarray:
-    """``cast(values, dtype=float)`` of ints and floats, Python's or numpy's; anything else,
-    as bools, strings and bytes (numeric ones too), complex values, a ragged list or
-    ``2**1100``, is a :class:`DataError` naming ``name``."""
+    """``cast(values, dtype=float)`` of ints and floats, Python's or numpy's (0-d arrays too);
+    anything else, as bools, strings and bytes (numeric ones too), complex values, timedeltas,
+    a ragged list or ``2**1100``, is a :class:`DataError` naming ``name``."""
     try:
         dtype = np.asarray(values).dtype  # a sequence's array, dropped before the cast
         if dtype.kind != "c":  # the cast to float would drop the imaginary parts
@@ -63,10 +67,13 @@ def _real(values, name: str, cast=np.asarray) -> np.ndarray:
         raise DataError(f"{name} must be real numbers ({exc})") from exc
     types = [dtype.type]
     if dtype.kind == "O" or dtype.kind in "iuf" and isinstance(values, (list, tuple)):
-        # numpy reads [True, 2.0] as floats, so a sequence's scalars are checked one by one
-        types = map(type, values if out.ndim == 1 else np.array(values, dtype=object).flat)
+        # numpy reads [True, 2.0] as floats, so a sequence's items are checked one by one,
+        # a 0-d array by its dtype
+        items = values if out.ndim == 1 else np.array(values, dtype=object).flat
+        types = (v.dtype.type if isinstance(v, np.ndarray) else type(v) for v in items)
     for t in dict.fromkeys(types):  # named as str_ -> str, complex128 -> complex
-        if t is bool or not issubclass(t, (int, float, np.integer, np.floating)):
+        # np.timedelta64 subclasses np.signedinteger
+        if t in (bool, np.timedelta64) or not issubclass(t, (int, float, np.integer, np.floating)):
             raise DataError(f"{name} must be real numbers, not {t.__name__.rstrip('_0123456789')}")
     return out
 
@@ -98,9 +105,9 @@ def _trusted(cls, **fields):
 
 
 def _size(value, name: str, lo: int, hi: int | None = None) -> int:
-    """``value`` as an ``int``: an integer (not a bool) in ``lo..hi``, or
+    """``value`` as an ``int``: an integer (not a bool or a timedelta) in ``lo..hi``, or
     ``>= lo`` when ``hi`` is None; :class:`DataError` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.timedelta64)) or not isinstance(value, (int, np.integer)):
         raise DataError(f"{name} must be an integer, got {value!r}")
     if value < lo or hi is not None and value > hi:
         raise DataError(f"{name} must be " + (f">= {lo}" if hi is None else f"in {lo}..{hi}"))
@@ -332,7 +339,7 @@ def knuth_log_posterior(counts, total: int) -> float:
 
     where ``lnG`` is the log-gamma function.  The value only ranks bin counts of the same
     data, so callers scan ``B`` and keep the argmax.  :class:`DataError` unless ``counts`` are
-    whole, nonnegative ints or floats (see ``_real``) summing to ``total``.
+    whole, nonnegative ints or floats (see ``_real``) summing to ``total``, at most ``2**53``.
     """
     counts = _real(counts, "counts")
     if counts.ndim != 1 or counts.size < 1:
@@ -342,6 +349,8 @@ def knuth_log_posterior(counts, total: int) -> float:
     if not np.all(np.isfinite(counts) & (np.floor(counts) == counts)):
         raise DataError("counts must be whole numbers")
     total = _size(total, "total", 1)
+    if total > 2**53:  # float64 holds every count up to 2**53 exactly
+        raise DataError("total must be in 1..2**53")
     if sum(counts.tolist()) != total:  # Python's float sum overflows to inf, with no warning
         raise DataError(f"counts sum to {sum(counts.tolist()):.17g}, expected total {total}")
     # fsum rounds once, so the order of the per-bin terms is irrelevant
@@ -353,9 +362,6 @@ def _knuth_head(b: int, n: float) -> float:
     # the posterior without its per-bin terms, from the bin count alone
     return n * math.log(b) + math.lgamma(b / 2.0) - b * math.lgamma(0.5) - math.lgamma(n + b / 2.0)
 
-
-# Bound on the left edges the Knuth scan materializes at once.
-KNUTH_SCAN_CHUNK = 1 << 16
 
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
@@ -398,7 +404,7 @@ def _knuth_chunks(sorted_values: np.ndarray, search_max: int):
     ``approx[i] ± err[i]``.
 
     The left edges of a chunk are laid end to end, at most
-    ``KNUTH_SCAN_CHUNK`` of them (or the edges of one larger ``B``); each
+    ``BLOCK`` of them (or the edges of one larger ``B``); each
     chunk takes one ``searchsorted``.  The per-bin terms and their bounds
     are read from tables below 4,096 and only larger counts take the
     Stirling series (see :func:`_lgamma_half`); each term's bound widens
@@ -510,11 +516,11 @@ def _lgamma_half(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _chunk_bounds(search_max: int):
     """``(first, last)`` of each chunk of the scan over ``1..search_max``:
     the largest ``last`` whose ``B = first..last`` have at most
-    ``KNUTH_SCAN_CHUNK`` left edges, or ``first`` itself."""
+    ``BLOCK`` left edges, or ``first`` itself."""
     first = 1
     while first <= search_max:
         # first + ... + last = (last (last + 1) - first (first - 1)) / 2
-        last = (math.isqrt(8 * KNUTH_SCAN_CHUNK + 4 * first * (first - 1) + 1) - 1) // 2
+        last = (math.isqrt(8 * BLOCK + 4 * first * (first - 1) + 1) - 1) // 2
         last = min(max(last, first), search_max)
         yield first, last
         first = last + 1
@@ -587,7 +593,7 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
     bins, last bin closed so the maximum is counted); heights are the
     integer counts over ``N`` and over the bin widths, ``count / N``
     rounded once.  The counts are those a Knuth scan kept when it chose
-    ``bin_count``, and otherwise are summed over ``HISTOGRAM_BLOCK``-sample
+    ``bin_count``, and otherwise are summed over ``BLOCK``-sample
     blocks, each sorted in turn.  Raises :class:`DataError` when a height
     is not finite: its bin is too narrow, or of zero width, as on a range a
     few ulps wide.
@@ -600,8 +606,8 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
     if counts is None or counts.size != bin_count:
         # the samples below each left edge; the last edge is the largest sample
         below = np.zeros(bin_count, dtype=np.intp)
-        for i in range(0, n, HISTOGRAM_BLOCK):
-            below += np.sort(samples.values[i:i + HISTOGRAM_BLOCK]).searchsorted(edges[:-1])
+        for i in range(0, n, BLOCK):
+            below += np.sort(samples.values[i:i + BLOCK]).searchsorted(edges[:-1])
         counts = np.diff(below, append=n)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         heights = counts / n / np.diff(edges)
@@ -612,8 +618,3 @@ def build_histogram(samples: Samples, bin_count: int) -> Histogram:
         )
     heights.setflags(write=False)  # kept as is; linspace's edges are a view, so copied
     return Histogram(edges=edges, heights=heights)
-
-
-# Samples sorted at a time when no Knuth scan kept the counts, which
-# bounds the histogram's temporaries.
-HISTOGRAM_BLOCK = 65536

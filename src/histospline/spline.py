@@ -96,13 +96,19 @@ def _basis(i: int, p: int, tau: np.ndarray, u: float) -> float:
         if u == tau[-1]:  # close the final interval so the domain end is covered
             return 1.0 if tau[i] < u <= tau[i + 1] else 0.0
         return 1.0 if tau[i] <= u < tau[i + 1] else 0.0
+    return _step(i, p, tau, u, u - tau[i], tau[i + p + 1] - u)
+
+
+def _step(i: int, p: int, tau: np.ndarray, u: float, left: float, right: float) -> float:
+    """The Cox-de Boor step ``left / (tau_{i+p} - tau_i) * N[i,p-1](u) + right /
+    (tau_{i+p+1} - tau_{i+1}) * N[i+1,p-1](u)``, a term with a zero denominator dropped."""
     total = 0.0
     left_den = tau[i + p] - tau[i]
     if left_den > 0.0:
-        total += (u - tau[i]) / left_den * _basis(i, p - 1, tau, u)
+        total += left / left_den * _basis(i, p - 1, tau, u)
     right_den = tau[i + p + 1] - tau[i + 1]
     if right_den > 0.0:
-        total += (tau[i + p + 1] - u) / right_den * _basis(i + 1, p - 1, tau, u)
+        total += right / right_den * _basis(i + 1, p - 1, tau, u)
     return total
 
 
@@ -117,14 +123,7 @@ def bspline_basis_derivative(i: int, p: int, tau, u: float) -> float:
     with zero-denominator terms dropped (the 0/0 convention).
     """
     i, p, tau, u = _basis_args(i, p, tau, u, 1)
-    total = 0.0
-    left_den = tau[i + p] - tau[i]
-    if left_den > 0.0:
-        total += p / left_den * _basis(i, p - 1, tau, u)
-    right_den = tau[i + p + 1] - tau[i + 1]
-    if right_den > 0.0:
-        total -= p / right_den * _basis(i + 1, p - 1, tau, u)
-    return total
+    return _step(i, p, tau, u, p, -p)
 
 
 @dataclass(frozen=True, eq=False)

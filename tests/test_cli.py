@@ -14,6 +14,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,14 @@ def test_seed42_pipeline_artifact_bytes_are_pinned(seed42_corpus, monkeypatch):
     assert turning_points == [57, 55]
 
 
+def test_workflow_digests_are_pinned_digests():
+    # CI's console-script step restates digests of PINNED_SHA256: a re-pin
+    # here that leaves a stale copy there fails
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    digests = re.findall(r"\b[0-9a-fA-F]{64}\b", workflow.read_text(encoding="utf-8"))
+    assert digests and set(digests) <= set(PINNED_SHA256.values())
+
+
 class TestGenerateHelper:
     """generate's helper process formats the later series' rows of a large
     corpus; its bytes are those of the in-process path, and it is optional."""
@@ -297,6 +306,33 @@ class TestGenerateHelper:
             finally:
                 tracemalloc.stop()
         assert (peaks[1] - peaks[0]) / (samples[1] - samples[0]) < 1.3 * 8
+
+    def test_helper_peak_is_of_the_longest_series(self, tmp_path):
+        # the helper as generate starts it, plus -W error (-I drops
+        # PYTHONWARNINGS), traced through runpy: it holds one series' rows
+        # at a time, so its peak stays near 1.07 MB from 100 to 400 series
+        # (86,475 and 348,604 samples, the longest 1,120)
+        traced = ("import runpy, sys, tracemalloc; tracemalloc.start(); "
+                  "runpy.run_path(sys.argv[1], run_name='__main__'); "
+                  "print(tracemalloc.get_traced_memory()[1], file=sys.stderr)")
+        samples, peaks = [], []
+        for count in (100, 400):
+            corpus = generate_corpus(count, seed=1)
+            t = max(corpus, key=len).t
+            samples.append(sum(map(len, corpus)))
+            with tempfile.TemporaryFile() as job, tempfile.TemporaryFile() as rows:
+                job.writelines([array("q", [0, count, t.size]), t,
+                                array("q", map(len, corpus)), *(ts.x for ts in corpus)])
+                job.seek(0)
+                done = subprocess.run(
+                    [sys.executable, "-I", "-S", "-W", "error", "-c", traced,
+                     cli._corpus_rows.__file__],
+                    stdin=job, stdout=rows, stderr=subprocess.PIPE, text=True, check=True)
+                rows.seek(0)
+                assert sum(chunk.count(b"\n") for chunk in rows) == samples[-1]
+            peaks.append(int(done.stderr))
+        assert max(peaks) < 1.5e6
+        assert (peaks[1] - peaks[0]) / (samples[1] - samples[0]) < 0.1
 
 
 def row_by_row(path, columns):
@@ -635,7 +671,7 @@ class TestEstimate:
     # 1.00 x 8 under sturges (the values; the histogram sorts one block at a
     # time) and 1.24 x 8 from --simulate under either rule (the generator's
     # peak).  A new full-size temporary would add 1 to one of these.  Both
-    # simulated corpora are above one CORPUS_BLOCK, below which the
+    # simulated corpora are above one BLOCK, below which the
     # generator's block temporaries grow with N too.
     @pytest.mark.parametrize("source, counts, bound", [
         ("input-knuth", (30, 120), 2.2),

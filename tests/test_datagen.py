@@ -219,7 +219,7 @@ class TestGenerateCorpus:
         with pytest.raises(DataError, match="seed must be (>= 0|an integer)"):
             generate_corpus(2, seed=seed)
 
-    @pytest.mark.parametrize("count", [2.5, 2.0, True, "2"])
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, "2", np.timedelta64(2, "s")])
     def test_count_must_be_an_integer(self, count):
         with pytest.raises(DataError, match="count must be an integer, got"):
             generate_corpus(count, seed=1)
@@ -340,12 +340,12 @@ class TestVectorisedCorpus:
         corpus = generate_corpus(count, ranges, seed=seed)
         scenarios = per_series_scenarios(count, ranges, seed)
         assert len(corpus) == count
-        assert sum(len(ts) for ts in corpus) > datagen.CORPUS_BLOCK
+        assert sum(len(ts) for ts in corpus) > datagen.BLOCK
         for series, scenario in zip(corpus, scenarios):
             assert_same_bits(series, *per_series_braking(scenario))
             assert not series.t.flags.writeable and not series.x.flags.writeable
         if ranges is LONG_RANGES:
-            assert max(len(ts) for ts in corpus) > datagen.CORPUS_BLOCK
+            assert max(len(ts) for ts in corpus) > datagen.BLOCK
         # the CLI formats the longest series' t once and reuses its prefixes
         longest = max(corpus, key=len).t
         for series in corpus:
@@ -353,7 +353,7 @@ class TestVectorisedCorpus:
 
     @pytest.mark.parametrize("block", [1, 7, 1000])
     def test_block_size_does_not_change_the_result(self, monkeypatch, block):
-        monkeypatch.setattr(datagen, "CORPUS_BLOCK", block)
+        monkeypatch.setattr(datagen, "BLOCK", block)
         corpus = generate_corpus(6, WIDE_RANGES, seed=5)
         for series, scenario in zip(corpus, per_series_scenarios(6, WIDE_RANGES, 5)):
             assert_same_bits(series, *per_series_braking(scenario))

@@ -555,11 +555,16 @@ _BASIS_KNOTS = [0, 0, 0, 1, 2, 3, 3, 3]
     (lambda: Samples([True, False]), "values", ", not bool"),
     (lambda: Samples(["1.5", "2"]), "values", ", not str"),
     (lambda: Histogram([0, 1], np.array([True])), "values", ", not bool"),
+    (lambda: Samples(np.array([1, 2], dtype="m8[s]")), "values", ", not timedelta"),
+    (lambda: knuth_log_posterior(np.array([1, 2], dtype="m8[s]"), 3), "counts", ", not timedelta"),
+    (lambda: Samples([np.array(True), np.array(2.0)]), "values", ", not bool"),
+    (lambda: Samples([np.array(1, "m8[s]"), np.array(2, "m8[s]")]), "values", ", not timedelta"),
 ], ids=["samples-huge-int", "samples-object", "samples-ragged", "histogram-huge-int",
         "histogram-str", "fit-x-str", "fit-F-str", "model-str", "timeseries-str", "spline-str",
         "spline-huge-int", "derivative-ragged", "pdf-str", "cdf-huge-int", "grid-kl-str",
         "grid-kl-huge-int", "knuth-numeric-str", "knuth-bool", "basis-str", "basis-huge-int",
-        "basis-complex", "samples-bool", "samples-numeric-str", "histogram-bool"])
+        "basis-complex", "samples-bool", "samples-numeric-str", "histogram-bool",
+        "samples-timedelta", "knuth-timedelta", "samples-0d-bool", "samples-0d-timedelta"])
 def test_non_numeric_array_input_is_a_data_error(build, name, reason):
     # numpy's reason in parentheses, or the type that the rule rejects
     tail = reason if reason.startswith(", not ") else f" ({reason}"

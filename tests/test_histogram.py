@@ -27,7 +27,7 @@ from histospline import (
 import histospline.histogram as histogram_module
 from histospline.datagen import MAX_CORPUS_SAMPLES
 from histospline.histogram import (
-    HISTOGRAM_BLOCK,
+    BLOCK,
     LGAMMA_TABLE_SIZE,
     MAX_BIN_COUNT,
     MAX_KNUTH_SEARCH,
@@ -84,6 +84,13 @@ class TestSamples:
         assert retained < 8.5e6 and peak < 8.5e6
         assert np.array_equal(s.values, values) and not s.values.flags.writeable
 
+    def test_zero_d_real_arrays_in_a_list_count_as_their_numbers(self):
+        # judged by their dtype, as numpy scalars are
+        given = [np.array(1.0), np.array(2, dtype=np.int8), np.float32(3.0), 4]
+        assert Samples(given).values.tolist() == [1.0, 2.0, 3.0, 4.0]
+        nested = histogram_module._real([[np.array(1.0)], [np.array(2)]], "values")
+        assert nested.tolist() == [[1.0], [2.0]]
+
     @pytest.mark.parametrize("values", [
         [np.nan, np.nan, np.nan],
         [-np.inf, 1.0],
@@ -136,7 +143,9 @@ class TestBinRule:
         (lambda: BinRule.fixed(0), f"fixed bin count must be in 1..{MAX_BIN_COUNT}$"),
         (lambda: BinRule.knuth("7"), "knuth_search_max must be an integer, got '7'$"),
         (lambda: BinRule.knuth(7.0), "knuth_search_max must be an integer, got 7.0$"),
-    ], ids=["fractional", "bool", "missing", "zero", "text", "float"])
+        (lambda: BinRule.fixed(np.timedelta64(5, "s")),
+         r"fixed bin count must be an integer, got np.timedelta64\(5,'s'\)$"),
+    ], ids=["fractional", "bool", "missing", "zero", "text", "float", "timedelta"])
     def test_sizes_must_be_integers_in_range(self, make, message):
         with pytest.raises(DataError, match=message):
             make()
@@ -323,6 +332,8 @@ class TestKnuthLogPosterior:
         # whole float counts whose sum overflows, and Python ints beyond the float range
         ([1e308, 1e308], 5, "counts sum to inf, expected total 5"),
         ([10**300, 10**300], 5, "counts sum to 2.0000000000000001e\\+300, expected total 5"),
+        # a total beyond the counts float64 holds exactly, whose lgamma would overflow
+        pytest.param([1e308], int(1e308), r"total must be in 1..2\*\*53$", id="total-above-2**53"),
     ])
     def test_bad_inputs(self, counts, total, message):
         with pytest.raises(DataError, match=message):
@@ -489,7 +500,7 @@ class TestBatchedKnuthScan:
     @pytest.mark.parametrize("chunk", [1, 6, 7, 64])
     @pytest.mark.parametrize("kind", ["normal", "cauchy", "integers", "subnormal"])
     def test_chunk_size_does_not_change_the_result(self, kind, chunk, monkeypatch):
-        monkeypatch.setattr(histogram_module, "KNUTH_SCAN_CHUNK", chunk)
+        monkeypatch.setattr(histogram_module, "BLOCK", chunk)
         assert_scan_matches_per_step_scan(scan_vector(kind), 60)
 
     @pytest.mark.parametrize("values, expected_b", [
@@ -500,7 +511,7 @@ class TestBatchedKnuthScan:
     ])
     @pytest.mark.parametrize("chunk", [1, 1 << 16])
     def test_near_ties(self, values, expected_b, chunk, monkeypatch):
-        monkeypatch.setattr(histogram_module, "KNUTH_SCAN_CHUNK", chunk)
+        monkeypatch.setattr(histogram_module, "BLOCK", chunk)
         values = np.array(values, dtype=float)
         assert per_step_knuth_scan(values, 12)[0] == expected_b
         assert_scan_matches_per_step_scan(values, 12)
@@ -511,7 +522,7 @@ class TestBatchedKnuthScan:
         # upper bound reaches the best exact posterior of the smaller B
         values = scan_vector(kind)
         _, expected, _ = per_step_knuth_scan(values, 60)
-        monkeypatch.setattr(histogram_module, "KNUTH_SCAN_CHUNK", 1)
+        monkeypatch.setattr(histogram_module, "BLOCK", 1)
         _, _, upper, _ = scanned_posteriors(values, 60)
         contenders = [b for b in range(1, 61)
                       if upper[b - 1] >= max(expected[:b - 1], default=-math.inf)]
@@ -567,7 +578,7 @@ class TestBatchedKnuthScan:
         assert peak < 16e6
 
     # 6 = 1 + 2 + 3: a chunk whose left edges fill it exactly
-    @pytest.mark.parametrize("chunk", [histogram_module.KNUTH_SCAN_CHUNK, 1, 6, 7, 64])
+    @pytest.mark.parametrize("chunk", [histogram_module.BLOCK, 1, 6, 7, 64])
     def test_chunk_bounds_equal_the_loop(self, chunk, monkeypatch):
         def loop_chunk_bounds(search_max):
             # add B to the chunk while its left edges fit
@@ -580,7 +591,7 @@ class TestBatchedKnuthScan:
                 yield first, last
                 first = last + 1
 
-        monkeypatch.setattr(histogram_module, "KNUTH_SCAN_CHUNK", chunk)
+        monkeypatch.setattr(histogram_module, "BLOCK", chunk)
         # every bound across the first chunk of the default size, which ends
         # at 361, then a stride through the rest: every bound would take
         # 5e7 steps at a chunk of one
@@ -971,7 +982,7 @@ class TestSortedCopy:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.25e6
-        assert max(peaks) < 1.5 * 8 * HISTOGRAM_BLOCK
+        assert max(peaks) < 1.5 * 8 * BLOCK
 
     def test_samples_keep_one_n_sized_array_after_a_knuth_scan(self):
         # the read-only values, 8N bytes, and B counts: the sorted values
@@ -1007,6 +1018,7 @@ class TestSortedCopy:
     (False, 0, None, "n must be an integer, got False$"),
     (np.float64(2.0), 1, None, r"n must be an integer, got np.float64\(2.0\)$"),
     (np.bool_(True), 0, None, "n must be an integer, got "),
+    (np.timedelta64(5, "s"), 1, None, r"n must be an integer, got np.timedelta64\(5,'s'\)$"),
 ])
 def test_size_rule_rejects(value, lo, hi, message):
     with pytest.raises(DataError, match=message):
